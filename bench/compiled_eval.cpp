@@ -1,30 +1,27 @@
 //===- bench/compiled_eval.cpp - Tape vs tree-walk throughput -------------===//
 //
 // Pins the compiled solver hot path (src/compile, DESIGN.md) against the
-// tree-walking evaluators it replaces, on the paper's own workloads:
+// tree-walking evaluator it replaces, on the paper's own workloads:
 //
-//   * fig5a: interval synthesis (under + over), solver nodes/sec,
-//   * fig5b: powerset synthesis at k = 3, solver nodes/sec,
-//   * table1: exact ind. set counting, solver nodes/sec,
-//   * probe: raw per-box query evaluation, evals/sec, in three variants —
-//     tree walk, scalar tape, and the batched SoA tape interpreter.
+//   * fig5a: interval synthesis (under + over), tape nodes/sec,
+//   * fig5b: powerset synthesis at k = 3, tape nodes/sec,
+//   * table1: exact ind. set counting, solver nodes/sec, tree walk vs
+//     tape,
+//   * probe: raw per-box query evaluation, evals/sec, tree walk vs tape.
 //
-// Every search workload is also a determinism check: the tape is
-// bit-identical to the tree walk, so Off-mode and On-mode runs must
-// produce byte-equal artifacts and identical node counts, and this
-// harness exits nonzero if they do not.
-//
-// Acceptance bar (hard): on every benchmark, the *batched* tape must
-// reach at least tree-walk probe throughput. A regression exits 1, so the
-// bar is enforced wherever the bench runs, not just eyeballed in the
-// JSON. Results go to BENCH_compiled.json via the shared throughput
-// reporter (BenchCommon.h), same fields as the other harnesses.
+// The table1 and probe workloads are also identity checks: the tape is
+// bit-identical to the tree walk, so both evaluators must produce equal
+// counts, equal node counts and equal Tribool answers, and this harness
+// exits nonzero if they do not. Synthesis always runs on the evaluator
+// the solver picks (compile/CompiledEval.h); its tape/tree-walk identity
+// is pinned by the decider differential in tests/fuzz/RandomQueryTest.cpp.
+// Results go to BENCH_compiled.json via the shared throughput reporter
+// (BenchCommon.h), same fields as the other harnesses.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 
-#include "compile/CompiledEval.h"
 #include "compile/Tape.h"
 #include "solver/RangeEval.h"
 #include "support/Rng.h"
@@ -34,14 +31,8 @@ using namespace anosy;
 
 namespace {
 
-/// Runs both interval synthesis arms and returns (artifacts, nodes).
-struct IntervalRun {
-  IndSets<Box> Under, Over;
-  uint64_t Nodes = 0;
-};
-
-IntervalRun runInterval(const Synthesizer &Sy) {
-  IntervalRun R;
+/// Runs both interval synthesis arms; returns the solver nodes charged.
+uint64_t runInterval(const Synthesizer &Sy) {
   SynthStats SU, SO;
   auto U = Sy.synthesizeInterval(ApproxKind::Under, &SU);
   auto O = Sy.synthesizeInterval(ApproxKind::Over, &SO);
@@ -49,19 +40,11 @@ IntervalRun runInterval(const Synthesizer &Sy) {
     std::fprintf(stderr, "interval synthesis failed\n");
     std::exit(1);
   }
-  R.Under = U.takeValue();
-  R.Over = O.takeValue();
-  R.Nodes = SU.SolverNodes + SO.SolverNodes;
-  return R;
+  return SU.SolverNodes + SO.SolverNodes;
 }
 
-struct PowersetRun {
-  IndSets<PowerBox> Under, Over;
-  uint64_t Nodes = 0;
-};
-
-PowersetRun runPowerset(const Synthesizer &Sy, unsigned K) {
-  PowersetRun R;
+/// Runs both powerset synthesis arms; returns the solver nodes charged.
+uint64_t runPowerset(const Synthesizer &Sy, unsigned K) {
   SynthStats SU, SO;
   auto U = Sy.synthesizePowerset(ApproxKind::Under, K, &SU);
   auto O = Sy.synthesizePowerset(ApproxKind::Over, K, &SO);
@@ -69,10 +52,7 @@ PowersetRun runPowerset(const Synthesizer &Sy, unsigned K) {
     std::fprintf(stderr, "powerset synthesis failed\n");
     std::exit(1);
   }
-  R.Under = U.takeValue();
-  R.Over = O.takeValue();
-  R.Nodes = SU.SolverNodes + SO.SolverNodes;
-  return R;
+  return SU.SolverNodes + SO.SolverNodes;
 }
 
 struct CountRun {
@@ -80,10 +60,11 @@ struct CountRun {
   uint64_t Nodes = 0;
 };
 
-CountRun runCount(const BenchmarkProblem &P) {
+/// Counts both responses of \p P's query with \p Tape (null = tree walk).
+CountRun runCount(const BenchmarkProblem &P, const TapeRef &Tape) {
   CountRun R;
   Box Top = Box::top(P.M.schema());
-  PredicateRef Q = exprPredicate(P.query().Body);
+  PredicateRef Q = exprPredicate(P.query().Body, Tape);
   SolverBudget BT, BF;
   CountResult T = countSat(*Q, Top, BT);
   CountResult F = countSat(*notPredicate(Q), Top, BF);
@@ -134,99 +115,59 @@ void dieOnMismatch(const char *What, const std::string &Id, bool Equal) {
 
 int main(int Argc, char **Argv) {
   unsigned Runs = parseRuns(Argc, Argv, 5);
-  std::printf("Compiled-eval throughput: tape vs tree walk (%u runs)\n\n",
+  std::printf("Compiled evaluator throughput: tape vs tree walk (%u runs)\n\n",
               Runs);
   std::vector<ThroughputSample> Samples;
 
-  // -- Search workloads: fig5a / fig5b / table1 under both modes. -------
+  // -- Search workloads: fig5a / fig5b on the tape, table1 both ways. ---
   std::printf("== solver nodes/sec (fig5a interval, fig5b powerset k=3, "
               "table1 counting) ==\n");
   for (const BenchmarkProblem &P : mardzielBenchmarks()) {
-    const Schema &S = P.M.schema();
-
-    setCompiledEvalMode(CompiledEvalMode::Off);
-    auto SyWalk = Synthesizer::create(S, P.query().Body);
-    setCompiledEvalMode(CompiledEvalMode::On);
-    auto SyTape = Synthesizer::create(S, P.query().Body);
-    if (!SyWalk || !SyTape)
+    auto Sy = Synthesizer::create(P.M.schema(), P.query().Body);
+    TapeRef T = Tape::compile(*P.query().Body);
+    if (!Sy || !T)
       continue;
 
-    // fig5a. One reference run per mode checks bit-identity; the nodes
-    // are deterministic, so they come from the reference run.
-    IntervalRun WantI = runInterval(*SyWalk);
-    IntervalRun GotI = runInterval(*SyTape);
-    dieOnMismatch("fig5a artifacts", P.Id,
-                  WantI.Under.TrueSet == GotI.Under.TrueSet &&
-                      WantI.Under.FalseSet == GotI.Under.FalseSet &&
-                      WantI.Over.TrueSet == GotI.Over.TrueSet &&
-                      WantI.Over.FalseSet == GotI.Over.FalseSet &&
-                      WantI.Nodes == GotI.Nodes);
-    ThroughputSample Walk{P.Id + "_fig5a", "tree_walk",
-                          medianSeconds(Runs, [&] { runInterval(*SyWalk); }),
-                          WantI.Nodes, 0};
-    ThroughputSample Tape{P.Id + "_fig5a", "tape",
-                          medianSeconds(Runs, [&] { runInterval(*SyTape); }),
-                          GotI.Nodes, 0};
-    std::printf("  %s fig5a: tree walk %.0f nodes/s, tape %.0f nodes/s "
-                "(%.2fx)\n",
-                P.Id.c_str(), Walk.nodesPerSec(), Tape.nodesPerSec(),
-                Walk.Seconds > 0 ? Walk.Seconds / Tape.Seconds : 0.0);
-    Samples.push_back(Walk);
-    Samples.push_back(Tape);
+    // fig5a / fig5b. The nodes are deterministic, so they come from one
+    // reference run.
+    uint64_t Nodes = runInterval(*Sy);
+    ThroughputSample Fig5a{P.Id + "_fig5a", "tape",
+                           medianSeconds(Runs, [&] { runInterval(*Sy); }),
+                           Nodes, 0};
+    Nodes = runPowerset(*Sy, 3);
+    ThroughputSample Fig5b{P.Id + "_fig5b", "tape",
+                           medianSeconds(Runs, [&] { runPowerset(*Sy, 3); }),
+                           Nodes, 0};
+    std::printf("  %s fig5a: tape %.0f nodes/s; fig5b: tape %.0f nodes/s\n",
+                P.Id.c_str(), Fig5a.nodesPerSec(), Fig5b.nodesPerSec());
+    Samples.push_back(Fig5a);
+    Samples.push_back(Fig5b);
 
-    // fig5b at the figure's k = 3.
-    PowersetRun WantP = runPowerset(*SyWalk, 3);
-    PowersetRun GotP = runPowerset(*SyTape, 3);
-    dieOnMismatch("fig5b artifacts", P.Id,
-                  WantP.Under.TrueSet == GotP.Under.TrueSet &&
-                      WantP.Under.FalseSet == GotP.Under.FalseSet &&
-                      WantP.Over.TrueSet == GotP.Over.TrueSet &&
-                      WantP.Over.FalseSet == GotP.Over.FalseSet &&
-                      WantP.Nodes == GotP.Nodes);
-    Walk = {P.Id + "_fig5b", "tree_walk",
-            medianSeconds(Runs, [&] { runPowerset(*SyWalk, 3); }),
-            WantP.Nodes, 0};
-    Tape = {P.Id + "_fig5b", "tape",
-            medianSeconds(Runs, [&] { runPowerset(*SyTape, 3); }),
-            GotP.Nodes, 0};
-    std::printf("  %s fig5b: tree walk %.0f nodes/s, tape %.0f nodes/s "
-                "(%.2fx)\n",
-                P.Id.c_str(), Walk.nodesPerSec(), Tape.nodesPerSec(),
-                Walk.Seconds > 0 ? Walk.Seconds / Tape.Seconds : 0.0);
-    Samples.push_back(Walk);
-    Samples.push_back(Tape);
-
-    // table1 exact counting.
-    setCompiledEvalMode(CompiledEvalMode::Off);
-    CountRun WantC = runCount(P);
-    setCompiledEvalMode(CompiledEvalMode::On);
-    CountRun GotC = runCount(P);
+    // table1 exact counting, once per evaluator.
+    CountRun WantC = runCount(P, nullptr);
+    CountRun GotC = runCount(P, T);
     dieOnMismatch("table1 counts", P.Id,
                   WantC.TrueSize == GotC.TrueSize &&
                       WantC.FalseSize == GotC.FalseSize &&
                       WantC.Nodes == GotC.Nodes);
-    setCompiledEvalMode(CompiledEvalMode::Off);
-    Walk = {P.Id + "_table1", "tree_walk",
-            medianSeconds(Runs, [&] { runCount(P); }), WantC.Nodes, 0};
-    setCompiledEvalMode(CompiledEvalMode::On);
-    Tape = {P.Id + "_table1", "tape",
-            medianSeconds(Runs, [&] { runCount(P); }), GotC.Nodes, 0};
+    ThroughputSample Walk{P.Id + "_table1", "tree_walk",
+                          medianSeconds(Runs, [&] { runCount(P, nullptr); }),
+                          WantC.Nodes, 0};
+    ThroughputSample Compiled{P.Id + "_table1", "tape",
+                              medianSeconds(Runs, [&] { runCount(P, T); }),
+                              GotC.Nodes, 0};
     std::printf("  %s table1: tree walk %.0f nodes/s, tape %.0f nodes/s "
                 "(%.2fx)\n",
-                P.Id.c_str(), Walk.nodesPerSec(), Tape.nodesPerSec(),
-                Walk.Seconds > 0 ? Walk.Seconds / Tape.Seconds : 0.0);
+                P.Id.c_str(), Walk.nodesPerSec(), Compiled.nodesPerSec(),
+                Compiled.Seconds > 0 ? Walk.Seconds / Compiled.Seconds : 0.0);
     Samples.push_back(Walk);
-    Samples.push_back(Tape);
+    Samples.push_back(Compiled);
   }
 
   // -- Probe workload: raw per-box evaluation, evals/sec. ---------------
-  // This is where the acceptance bar lives: the batched tape must not
-  // lose to the tree walk on any benchmark.
-  std::printf("\n== probe evals/sec (tree walk vs scalar tape vs batched "
-              "tape) ==\n");
+  std::printf("\n== probe evals/sec (tree walk vs tape) ==\n");
   const size_t ProbeBoxes = 4096;
   const size_t ProbeIters = 32;
-  bool BarFailed = false;
   for (const BenchmarkProblem &P : mardzielBenchmarks()) {
     ExprRef Q = P.query().Body;
     TapeRef T = Tape::compile(*Q);
@@ -235,76 +176,41 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     std::vector<Box> Boxes = probeBoxes(P.M.schema(), ProbeBoxes);
-    BoxBatch Batch;
-    Batch.assign(Boxes.data(), Boxes.size());
     TapeScratch Scratch;
-    std::vector<Tribool> Out(Boxes.size());
     const uint64_t Evals = ProbeBoxes * ProbeIters;
 
-    // The three variants must agree before their clocks matter.
-    T->runBatch(Batch, Scratch, Out.data());
-    for (size_t I = 0; I != Boxes.size(); ++I) {
-      Tribool Want = evalTribool(*Q, Boxes[I]);
-      dieOnMismatch("probe scalar", P.Id, T->run(Boxes[I], Scratch) == Want);
-      dieOnMismatch("probe batch", P.Id, Out[I] == Want);
-    }
+    // The evaluators must agree before their clocks matter.
+    for (const Box &B : Boxes)
+      dieOnMismatch("probe", P.Id, T->run(B, Scratch) == evalTribool(*Q, B));
 
+    auto WalkAll = [&] {
+      for (size_t It = 0; It != ProbeIters; ++It)
+        for (const Box &B : Boxes)
+          (void)evalTribool(*Q, B);
+    };
+    auto TapeAll = [&] {
+      for (size_t It = 0; It != ProbeIters; ++It)
+        for (const Box &B : Boxes)
+          (void)T->run(B, Scratch);
+    };
     ThroughputSample Walk{P.Id + "_probe", "tree_walk",
-                          medianSeconds(Runs,
-                                        [&] {
-                                          for (size_t It = 0; It != ProbeIters;
-                                               ++It)
-                                            for (const Box &B : Boxes)
-                                              (void)evalTribool(*Q, B);
-                                        }),
-                          0, Evals};
-    ThroughputSample Scalar{P.Id + "_probe", "tape",
-                            medianSeconds(Runs,
-                                          [&] {
-                                            for (size_t It = 0;
-                                                 It != ProbeIters; ++It)
-                                              for (const Box &B : Boxes)
-                                                (void)T->run(B, Scratch);
-                                          }),
-                            0, Evals};
-    ThroughputSample Batched{P.Id + "_probe", "tape_batch",
-                             medianSeconds(Runs,
-                                           [&] {
-                                             for (size_t It = 0;
-                                                  It != ProbeIters; ++It)
-                                               T->runBatch(Batch, Scratch,
-                                                           Out.data());
-                                           }),
-                             0, Evals};
-    std::printf("  %s: tree walk %.2fM/s, scalar tape %.2fM/s, batched "
-                "tape %.2fM/s (%.2fx)\n",
+                          medianSeconds(Runs, WalkAll), 0, Evals};
+    ThroughputSample Compiled{P.Id + "_probe", "tape",
+                              medianSeconds(Runs, TapeAll), 0, Evals};
+    std::printf("  %s: tree walk %.2fM/s, tape %.2fM/s (%.2fx)\n",
                 P.Id.c_str(), Walk.evalsPerSec() / 1e6,
-                Scalar.evalsPerSec() / 1e6, Batched.evalsPerSec() / 1e6,
-                Walk.Seconds > 0 ? Walk.Seconds / Batched.Seconds : 0.0);
-    if (Batched.evalsPerSec() < Walk.evalsPerSec()) {
-      std::fprintf(stderr,
-                   "ACCEPTANCE FAILURE: batched tape below tree walk on %s "
-                   "(%.0f < %.0f evals/s)\n",
-                   P.Id.c_str(), Batched.evalsPerSec(), Walk.evalsPerSec());
-      BarFailed = true;
-    }
+                Compiled.evalsPerSec() / 1e6,
+                Compiled.Seconds > 0 ? Walk.Seconds / Compiled.Seconds : 0.0);
     Samples.push_back(Walk);
-    Samples.push_back(Scalar);
-    Samples.push_back(Batched);
+    Samples.push_back(Compiled);
   }
 
   writeThroughputJson(
       "BENCH_compiled.json", Samples,
-      "  \"acceptance\": \"tape_batch evals/sec >= tree_walk on every "
-      "benchmark (hard-fail)\",\n  \"probe_boxes\": " +
+      "  \"identity\": \"tape and tree walk agree on every probe box and "
+      "table1 count, nodes included (hard-fail)\",\n  \"probe_boxes\": " +
           std::to_string(ProbeBoxes) +
           ",\n  \"probe_iters\": " + std::to_string(ProbeIters) + ",\n");
   std::printf("\n  wrote BENCH_compiled.json\n");
-  if (BarFailed) {
-    std::fprintf(stderr, "compiled-eval acceptance bar FAILED\n");
-    return 1;
-  }
-  std::printf("  acceptance bar held: batched tape >= tree walk on every "
-              "benchmark\n");
   return 0;
 }

@@ -10,8 +10,7 @@
 /// queries fall off the strict path, how much solver work each deadline
 /// buys, and what fraction of the unlimited run's indistinguishability
 /// coverage the degraded artifacts retain. Writes BENCH_degradation.json
-/// next to the binary (same reporting style as the BENCH_parallel
-/// report in domain_ops.cpp).
+/// next to the binary.
 ///
 /// Coverage metric: for each query, |True| + |False| of the synthesized
 /// under-approximating boxes, summed over the problem's queries, as a

@@ -17,7 +17,6 @@
 
 #include "BenchCommon.h"
 
-#include "compile/CompiledEval.h"
 #include "support/Table.h"
 #include "synth/Synthesizer.h"
 #include "verify/RefinementChecker.h"
@@ -26,72 +25,6 @@
 
 using namespace anosy;
 
-namespace {
-
-/// Serial-vs-parallel synthesis wall times over the suite, one sample per
-/// (benchmark, thread count), written to BENCH_parallel.json as a scaling
-/// curve. The synthesized sets are bit-identical at every count (asserted
-/// here as well as in tests/solver/ParallelDifferentialTest.cpp); only the
-/// wall clock may differ, and only on multi-core hosts.
-void runParallelSection(unsigned Runs, const std::vector<unsigned> &Counts) {
-  std::vector<ParallelSample> Samples;
-  for (const BenchmarkProblem &P : mardzielBenchmarks()) {
-    const Schema &S = P.M.schema();
-    auto Serial = Synthesizer::create(S, P.query().Body);
-    if (!Serial)
-      continue;
-
-    auto SynthBoth = [](const Synthesizer &Sy) {
-      auto U = Sy.synthesizeInterval(ApproxKind::Under);
-      auto O = Sy.synthesizeInterval(ApproxKind::Over);
-      if (!U || !O) {
-        std::fprintf(stderr, "synthesis failed in parallel section\n");
-        std::exit(1);
-      }
-      return std::make_pair(U.takeValue(), O.takeValue());
-    };
-    auto Want = SynthBoth(*Serial);
-    // One serial baseline per benchmark, shared by every curve point.
-    double SerialSeconds = medianSeconds(Runs, [&] { SynthBoth(*Serial); });
-
-    for (unsigned Threads : Counts) {
-      ThreadPool Pool(Threads);
-      SynthOptions ParOptions;
-      ParOptions.Par.Pool = &Pool;
-      auto Par = Synthesizer::create(S, P.query().Body, ParOptions);
-      if (!Par)
-        continue;
-      auto Got = SynthBoth(*Par);
-      if (Want.first.TrueSet != Got.first.TrueSet ||
-          Want.first.FalseSet != Got.first.FalseSet ||
-          Want.second.TrueSet != Got.second.TrueSet ||
-          Want.second.FalseSet != Got.second.FalseSet) {
-        std::fprintf(stderr, "DETERMINISM VIOLATION on %s (%u threads)\n",
-                     P.Id.c_str(), Threads);
-        std::exit(1);
-      }
-
-      ParallelSample Sample;
-      Sample.Name = P.Id;
-      Sample.Threads = Threads;
-      Sample.SerialSeconds = SerialSeconds;
-      Sample.ParallelSeconds = medianSeconds(Runs, [&] { SynthBoth(*Par); });
-      std::printf("  %s: serial %.4fs, %u threads %.4fs (%.2fx)\n",
-                  P.Id.c_str(), Sample.SerialSeconds, Threads,
-                  Sample.ParallelSeconds,
-                  Sample.ParallelSeconds > 0
-                      ? Sample.SerialSeconds / Sample.ParallelSeconds
-                      : 0.0);
-      Samples.push_back(Sample);
-    }
-  }
-  writeParallelBenchJson("BENCH_parallel.json", Samples,
-                         Parallelism{}.resolved());
-  std::printf("  wrote BENCH_parallel.json\n");
-}
-
-} // namespace
-
 int main(int Argc, char **Argv) {
   unsigned Runs = parseRuns(Argc, Argv, 11);
   std::printf("Fig. 5a: interval-domain synthesis and verification "
@@ -99,7 +32,7 @@ int main(int Argc, char **Argv) {
 
   // Shared throughput fields (BenchCommon.h): per-benchmark synthesis
   // nodes/sec, summed over both approximation kinds, comparable with
-  // BENCH_compiled.json. Variant records the active compiled-eval mode.
+  // BENCH_compiled.json's tape rows.
   std::map<std::string, ThroughputSample> Throughput;
 
   for (ApproxKind Kind : {ApproxKind::Under, ApproxKind::Over}) {
@@ -131,7 +64,7 @@ int main(int Argc, char **Argv) {
       }, &SynthSeconds);
       ThroughputSample &TS = Throughput[P.Id];
       TS.Name = P.Id;
-      TS.Variant = compiledEvalModeName(compiledEvalMode());
+      TS.Variant = "tape";
       TS.Seconds += SynthSeconds;
       TS.Nodes += Stats.SolverNodes;
       std::string VerifTime = timeRepeated(Runs, [&]() {
@@ -158,15 +91,7 @@ int main(int Argc, char **Argv) {
     for (const auto &KV : Throughput)
       Samples.push_back(KV.second);
     writeThroughputJson("BENCH_throughput_fig5a.json", Samples);
-    std::printf("wrote BENCH_throughput_fig5a.json\n\n");
+    std::printf("wrote BENCH_throughput_fig5a.json\n");
   }
-
-  // Serial-vs-parallel scaling curve (threads = 1, 2, 4, 8 by default;
-  // --threads N collapses it to one point; needs real cores to show
-  // speedup).
-  std::vector<unsigned> Counts = parseThreadCounts(Argc, Argv);
-  std::printf("== parallel synthesis: serial vs %zu thread counts ==\n",
-              Counts.size());
-  runParallelSection(Runs, Counts);
   return 0;
 }

@@ -11,7 +11,6 @@
 
 #include "BenchCommon.h"
 
-#include "compile/CompiledEval.h"
 #include "support/Table.h"
 #include "synth/Synthesizer.h"
 #include "verify/RefinementChecker.h"
@@ -35,7 +34,7 @@ int main(int Argc, char **Argv) {
 
   // Shared throughput fields (BenchCommon.h): per-benchmark synthesis
   // nodes/sec, summed over both approximation kinds, comparable with
-  // BENCH_compiled.json. Variant records the active compiled-eval mode.
+  // BENCH_compiled.json's tape rows.
   std::map<std::string, ThroughputSample> Throughput;
 
   for (ApproxKind Kind : {ApproxKind::Under, ApproxKind::Over}) {
@@ -66,7 +65,7 @@ int main(int Argc, char **Argv) {
       }, &SynthSeconds);
       ThroughputSample &TS = Throughput[P.Id];
       TS.Name = P.Id;
-      TS.Variant = compiledEvalModeName(compiledEvalMode());
+      TS.Variant = "tape";
       TS.Seconds += SynthSeconds;
       TS.Nodes += Stats.SolverNodes;
       std::string VerifTime = timeRepeated(Runs, [&]() {

@@ -6,12 +6,12 @@
 //   anosy_cli <file.anosy> [--domain interval|powerset] [--k N]
 //             [--kind under|over] [--objective volume|balanced|pareto]
 //             [--emit-smtlib] [--no-verify] [--export <kb-file>]
-//             [--threads N] [--timeout-ms N] [--max-session-nodes N]
+//             [--timeout-ms N] [--max-session-nodes N]
 //             [--retry N] [--fault-inject SPEC]
 //             [--min-size N] [--static-admission] [--analysis-seeds]
 //             [--trace-out FILE] [--metrics-out FILE] [--probe-monitor]
 //   anosy_cli lint [files.anosy...] [--json] [--min-size N]
-//             [--relational off|auto|on] [--threads N]
+//             [--relational off|auto|on]
 //
 // For each query in the module it prints the refinement-type spec, the
 // sketch, the synthesized (hole-filled) program, the verification
@@ -57,7 +57,6 @@
 
 #include "analysis/LeakageAnalyzer.h"
 #include "analysis/LintReport.h"
-#include "compile/CompiledEval.h"
 #include "core/AnosySession.h"
 #include "core/ArtifactIO.h"
 #include "expr/Parser.h"
@@ -76,7 +75,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -94,9 +92,6 @@ struct CliOptions {
   bool EmitSmtLib = false;
   bool Verify = true;
   std::string ExportPath;
-  /// Solver threads; 1 (default) is the serial engine, 0 means hardware
-  /// concurrency. Synthesized artifacts are identical for every value.
-  unsigned Threads = 1;
   /// Degradation knobs (0 = unlimited / single attempt).
   uint64_t TimeoutMs = 0;
   uint64_t MaxSessionNodes = 0;
@@ -132,30 +127,23 @@ int usage(const char *Argv0) {
       "usage: %s [file.anosy] [--domain interval|powerset] [--k N]\n"
       "          [--kind under|over] [--objective volume|balanced|pareto]\n"
       "          [--emit-smtlib] [--no-verify] [--export <kb-file>]\n"
-      "          [--threads N]   (0 = all cores; results are identical\n"
-      "                          for every thread count)\n"
       "          [--timeout-ms N] [--max-session-nodes N] [--retry N]\n"
       "          [--fault-inject seed=S,<site>@<one-in>[x<max>],...]\n"
       "          [--min-size N] [--static-admission] [--analysis-seeds]\n"
       "          [--trace-out FILE]   (Chrome trace_event JSON; implies\n"
       "                              --probe-monitor)\n"
       "          [--metrics-out FILE] (Prometheus text exposition)\n"
-      "          [--compiled-eval off|on|auto] (tape-compiled interval\n"
-      "                          evaluation; default auto; results are\n"
-      "                          identical in every mode)\n"
       "          [--probe-monitor]    (one downgrade per query at the\n"
       "                              schema-center secret)\n"
       "   or: %s lint [files.anosy...] [--json] [--min-size N]\n"
       "          [--relational off|auto|on] (octagon escalation tier;\n"
-      "                          default auto)\n"
-      "          [--threads N]   (lint output is identical for every\n"
-      "                          thread count)\n",
+      "                          default auto)\n",
       Argv0, Argv0);
   return 2;
 }
 
 /// Strict numeric flag parsing (support/ParseNum.h). The old atoi/strtoll
-/// calls read `--threads 1O` as 1 and `--k abc` as 0 — silently wrong
+/// calls read `--retry 1O` as 1 and `--k abc` as 0 — silently wrong
 /// configurations. A bad value now names the flag and the offending text
 /// and exits with the usage status.
 [[noreturn]] void badFlagValue(const char *Flag, const char *Value) {
@@ -228,18 +216,6 @@ int runLint(int Argc, char **Argv) {
     } else if (Arg.rfind("--relational=", 0) == 0) {
       if (!ParseRelational(Arg.c_str() + 13))
         return usage(Argv[0]);
-    } else if (Arg == "--threads") {
-      // Accepted for interface symmetry with the pipeline: the analyzer
-      // is pure interval arithmetic, so verdicts are identical (and
-      // byte-identical in both renderings) for every thread count. The
-      // value is still validated — garbage is an error, not a no-op.
-      const char *V = Next();
-      if (!V)
-        return usage(Argv[0]);
-      (void)parseUnsignedFlag("--threads", V);
-    } else if (Arg.rfind("--threads=", 0) == 0) {
-      // Same: accepted and validated, no effect on output.
-      (void)parseUnsignedFlag("--threads", Arg.c_str() + 10);
     } else if (Arg == "--help" || Arg == "-h") {
       return usage(Argv[0]);
     } else if (!Arg.empty() && Arg[0] == '-') {
@@ -481,13 +457,6 @@ int main(int Argc, char **Argv) {
       if (!V)
         return usage(Argv[0]);
       Opt.ExportPath = V;
-    } else if (Arg == "--threads") {
-      const char *V = Next();
-      if (!V)
-        return usage(Argv[0]);
-      Opt.Threads = parseUnsignedFlag("--threads", V);
-    } else if (Arg.rfind("--threads=", 0) == 0) {
-      Opt.Threads = parseUnsignedFlag("--threads", Arg.c_str() + 10);
     } else if (Arg == "--timeout-ms") {
       const char *V = Next();
       if (!V)
@@ -513,20 +482,6 @@ int main(int Argc, char **Argv) {
       if (!V)
         return usage(Argv[0]);
       Opt.MinSize = parseInt64Flag("--min-size", V);
-    } else if (Arg == "--compiled-eval") {
-      const char *V = Next();
-      if (!V)
-        return usage(Argv[0]);
-      CompiledEvalMode M;
-      if (!parseCompiledEvalMode(V, M))
-        badFlagValue("--compiled-eval", V);
-      setCompiledEvalMode(M);
-    } else if (Arg.rfind("--compiled-eval=", 0) == 0) {
-      const char *V = Arg.c_str() + std::strlen("--compiled-eval=");
-      CompiledEvalMode M;
-      if (!parseCompiledEvalMode(V, M))
-        badFlagValue("--compiled-eval", V);
-      setCompiledEvalMode(M);
     } else if (Arg == "--trace-out") {
       const char *V = Next();
       if (!V)
@@ -620,14 +575,6 @@ int main(int Argc, char **Argv) {
 
   SynthOptions SOpt;
   SOpt.Objective = Opt.Objective;
-  Parallelism Par{Opt.Threads};
-  std::unique_ptr<ThreadPool> Pool;
-  if (!Par.serial()) {
-    Pool = std::make_unique<ThreadPool>(Par);
-    SOpt.Par.Pool = Pool.get();
-    std::printf("(running synthesis and verification on %u threads)\n\n",
-                Pool->threadCount());
-  }
 
   // Budgeted runs, exports, policies, and static admission go through the
   // session facade: graceful degradation, retries, the crash-safe v2
@@ -643,10 +590,6 @@ int main(int Argc, char **Argv) {
     }
     int RC = Opt.Powerset ? sessionRun<PowerBox>(*M, Opt, SOpt)
                           : sessionRun<Box>(*M, Opt, SOpt);
-    // Re-publish after the whole run so the anosy_pool_* gauges reflect
-    // verification and probe work, not just session creation.
-    if (Pool != nullptr)
-      publishPoolStats(Pool->stats());
     if (!Opt.TraceOut.empty()) {
       auto W = obs::TraceRecorder::global().writeFile(Opt.TraceOut);
       if (!W) {
@@ -699,7 +642,7 @@ int main(int Argc, char **Argv) {
       }
       Filled = Sketch.renderFilled(Sets->TrueSet, Sets->FalseSet);
       if (Opt.Verify)
-        Certs = RefinementChecker(S, Q.Body, SOpt.MaxSolverNodes, SOpt.Par)
+        Certs = RefinementChecker(S, Q.Body, SOpt.MaxSolverNodes)
                     .checkIndSets(*Sets, Opt.Kind);
     } else {
       auto Sets = Sy->synthesizeInterval(Opt.Kind, &Stats);
@@ -709,7 +652,7 @@ int main(int Argc, char **Argv) {
       }
       Filled = Sketch.renderFilled(Sets->TrueSet, Sets->FalseSet);
       if (Opt.Verify)
-        Certs = RefinementChecker(S, Q.Body, SOpt.MaxSolverNodes, SOpt.Par)
+        Certs = RefinementChecker(S, Q.Body, SOpt.MaxSolverNodes)
                     .checkIndSets(*Sets, Opt.Kind);
     }
     double Secs = W.seconds();

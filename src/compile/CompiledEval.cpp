@@ -1,12 +1,10 @@
-//===- compile/CompiledEval.cpp - Compiled-eval mode & tape cache ---------===//
+//===- compile/CompiledEval.cpp - Query compilation & tape cache ----------===//
 
 #include "compile/CompiledEval.h"
 
 #include "obs/Instrument.h"
 
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -15,23 +13,6 @@
 using namespace anosy;
 
 namespace {
-
-/// Auto-mode threshold: below this many AST nodes the tree walk is
-/// already a handful of inlined calls and the tape buys nothing.
-constexpr size_t AutoMinTreeSize = 4;
-
-CompiledEvalMode initialMode() {
-  const char *Env = std::getenv("ANOSY_COMPILED_EVAL");
-  CompiledEvalMode M = CompiledEvalMode::Auto;
-  if (Env)
-    parseCompiledEvalMode(Env, M);
-  return M;
-}
-
-std::atomic<CompiledEvalMode> &modeSlot() {
-  static std::atomic<CompiledEvalMode> Mode{initialMode()};
-  return Mode;
-}
 
 /// Bounded process-wide tape cache. Collisions chain through structural
 /// equality. Overflow runs a second-chance sweep: every probe hit marks
@@ -169,53 +150,8 @@ TapeCache &cache() {
 
 } // namespace
 
-CompiledEvalMode anosy::compiledEvalMode() {
-  return modeSlot().load(std::memory_order_relaxed);
-}
-
-void anosy::setCompiledEvalMode(CompiledEvalMode M) {
-  modeSlot().store(M, std::memory_order_relaxed);
-}
-
-bool anosy::parseCompiledEvalMode(const std::string &Text,
-                                  CompiledEvalMode &M) {
-  if (Text == "off")
-    M = CompiledEvalMode::Off;
-  else if (Text == "on")
-    M = CompiledEvalMode::On;
-  else if (Text == "auto")
-    M = CompiledEvalMode::Auto;
-  else
-    return false;
-  return true;
-}
-
-const char *anosy::compiledEvalModeName(CompiledEvalMode M) {
-  switch (M) {
-  case CompiledEvalMode::Off:
-    return "off";
-  case CompiledEvalMode::On:
-    return "on";
-  case CompiledEvalMode::Auto:
-    return "auto";
-  }
-  return "?";
-}
-
-bool anosy::shouldCompileQuery(const Expr &E) {
-  switch (compiledEvalMode()) {
-  case CompiledEvalMode::Off:
-    return false;
-  case CompiledEvalMode::On:
-    return true;
-  case CompiledEvalMode::Auto:
-    return E.treeSize() >= AutoMinTreeSize;
-  }
-  return false;
-}
-
 TapeRef anosy::getOrCompileTape(const ExprRef &E) {
-  if (!E || !shouldCompileQuery(*E))
+  if (!E || E->treeSize() < MinCompileTreeSize)
     return nullptr;
   return cache().getOrCompile(E);
 }

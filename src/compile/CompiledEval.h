@@ -1,32 +1,26 @@
-//===- compile/CompiledEval.h - Compiled-eval mode & tape cache -*- C++ -*-===//
+//===- compile/CompiledEval.h - Query compilation & tape cache --*- C++ -*-===//
 //
 // Part of anosy-cpp (see DESIGN.md).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The process-wide switch for compiled query evaluation and the tape
-/// cache behind it. Three modes:
-///
-///  * Off  — every box probe tree-walks the AST (the differential
-///           oracle's path).
-///  * On   — every query predicate compiles to a tape.
-///  * Auto — compile when the query is large enough that the tape's
-///           per-probe savings beat its one-shot compile cost; trivial
-///           queries (a lone comparison) stay on the tree walk.
-///
-/// The default is Auto. The `ANOSY_COMPILED_EVAL` environment variable
-/// seeds the initial mode; `--compiled-eval=` on the CLIs (and tests)
-/// override it via setCompiledEvalMode.
+/// Which queries the solver evaluates through a compiled tape, and the
+/// process-wide tape cache behind them. The rule depends on the input
+/// only: a query compiles when it is large enough (MinCompileTreeSize
+/// AST nodes) that the tape's per-probe savings beat its one-shot compile
+/// cost; trivial queries (a lone comparison) stay on the tree walk, which
+/// also remains the fallback and the differential oracle.
 ///
 /// The cache keys tapes by structural hash + structural equality, so a
 /// query registered once and re-elaborated many times (sessions, refine
 /// chains, the corpus soak) compiles exactly once per distinct shape:
-/// racing compiles of the same shape re-probe under the insert lock and
-/// converge on a single tape. The cache is bounded; overflow runs a
-/// second-chance sweep (probe hits mark entries referenced; sweeps evict
-/// the unreferenced and demote the rest), so hot shapes survive a stream
-/// of cold one-shot shapes instead of being recompiled on every wrap.
+/// racing compiles of the same shape (anosyd workers share the cache)
+/// re-probe under the insert lock and converge on a single tape. The
+/// cache is bounded; overflow runs a second-chance sweep (probe hits mark
+/// entries referenced; sweeps evict the unreferenced and demote the
+/// rest), so hot shapes survive a stream of cold one-shot shapes instead
+/// of being recompiled on every wrap.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,29 +30,17 @@
 #include "compile/Tape.h"
 #include "expr/Expr.h"
 
-#include <string>
+#include <cstddef>
 
 namespace anosy {
 
-enum class CompiledEvalMode { Off, On, Auto };
+/// Queries with fewer AST nodes than this stay on the tree walk: it is
+/// already a handful of inlined calls and the tape buys nothing.
+inline constexpr size_t MinCompileTreeSize = 4;
 
-/// The current process-wide mode (atomic; safe from pool threads).
-CompiledEvalMode compiledEvalMode();
-void setCompiledEvalMode(CompiledEvalMode M);
-
-/// Parses "off"/"on"/"auto". Returns false (and leaves \p M alone) on
-/// anything else.
-bool parseCompiledEvalMode(const std::string &Text, CompiledEvalMode &M);
-
-const char *compiledEvalModeName(CompiledEvalMode M);
-
-/// Whether the current mode compiles \p E: On always, Off never, Auto
-/// when the tree is big enough to amortize the compile.
-bool shouldCompileQuery(const Expr &E);
-
-/// The tape for \p E under the current mode: a cached or freshly
-/// compiled tape, or nullptr when the mode says tree-walk (or the
-/// expression exceeds the tape's register file). Thread-safe.
+/// The tape for \p E: a cached or freshly compiled tape, or nullptr when
+/// \p E is below MinCompileTreeSize (or exceeds the tape's register
+/// file). Thread-safe.
 TapeRef getOrCompileTape(const ExprRef &E);
 
 /// Test-only introspection of the process-wide tape cache: live entry

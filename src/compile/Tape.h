@@ -6,27 +6,25 @@
 ///
 /// \file
 /// The compiled form of a query: a flat register bytecode ("tape") plus
-/// the interpreters that execute it. Abstract interval evaluation of the
+/// the interpreter that executes it. Abstract interval evaluation of the
 /// query AST is the inner loop of branch-and-bound, the exact model
 /// counter, and the lint refiner; tree-walking `anosy/expr` nodes pays a
 /// virtual-free but pointer-chasing, allocation-adjacent price per node.
 /// Compiling once to a contiguous instruction array and dispatching in a
-/// tight loop removes the pointer chasing; the batch entry point amortizes
-/// dispatch over many boxes in SoA layout (compile/BoxBatch.h).
+/// tight loop removes the pointer chasing.
 ///
 /// The tape is a register machine with two register files — Interval
 /// registers for integer-sorted subterms and Tribool registers for
 /// boolean-sorted ones. The compiler allocates registers with stack
 /// discipline (operand depth = register index), so register counts equal
 /// the expression's operand-stack depth and stay tiny. `and`/`or`/
-/// `implies`/`ite` compile with forward short-circuit jumps; the batch
-/// interpreter runs the same tape straight-line (jumps ignored), which is
-/// sound because every op is total and Kleene: once a connective's
-/// left-hand side decides the result, the right-hand side's value — fresh
-/// or stale — cannot change it, and `Sel` reads only the taken arm when
-/// the condition is decided.
+/// `implies`/`ite` compile with forward short-circuit jumps. A skipped
+/// side leaves a stale register behind, which is sound because every op
+/// is total and Kleene: once a connective's left-hand side decides the
+/// result, the right-hand side's value — fresh or stale — cannot change
+/// it, and `Sel` reads only the taken arm when the condition is decided.
 ///
-/// Both interpreters produce results bit-identical to the tree-walking
+/// The interpreter produces results bit-identical to the tree-walking
 /// `evalRange`/`evalTribool` (they share the scalar kernel in
 /// domains/IntervalArith.h); the tree walk stays the differential oracle
 /// (tests/compile/TapeDifferentialTest.cpp).
@@ -36,7 +34,6 @@
 #ifndef ANOSY_COMPILE_TAPE_H
 #define ANOSY_COMPILE_TAPE_H
 
-#include "compile/BoxBatch.h"
 #include "domains/Box.h"
 #include "domains/Interval.h"
 #include "expr/Expr.h"
@@ -69,8 +66,7 @@ enum class TapeOp : uint8_t {
   NotB,     ///< tri[Dst] = ¬tri[A]
   AndB,     ///< tri[Dst] = tri[A] ∧ tri[B]      (Kleene)
   OrB,      ///< tri[Dst] = tri[A] ∨ tri[B]      (Kleene)
-  // Control (scalar interpreter only; the batch interpreter falls
-  // through, which computes the same results — see file comment).
+  // Control.
   JmpIfFalse, ///< if tri[A] == False: pc = Imm
   JmpIfTrue,  ///< if tri[A] == True:  pc = Imm
 };
@@ -86,16 +82,11 @@ struct TapeInsn {
                 ///< register (Sel), boolean value, or jump target.
 };
 
-/// Reusable per-thread evaluation scratch: the register files for the
-/// scalar interpreter and the lane arrays for the batch interpreter.
-/// Grow-only, so steady-state runs allocate nothing.
+/// Reusable per-thread evaluation scratch: the interpreter's register
+/// files. Grow-only, so steady-state runs allocate nothing.
 struct TapeScratch {
   std::vector<Interval> IntRegs;
   std::vector<Tribool> BoolRegs;
-  // Batch lanes, register-major: IntLo[R * Count + I].
-  std::vector<int64_t> IntLo;
-  std::vector<int64_t> IntHi;
-  std::vector<Tribool> TriLanes; ///< [R * Count + I]
 };
 
 class Tape;
@@ -119,12 +110,6 @@ public:
   /// compiled from an integer-sorted expression. Bit-identical to
   /// `evalRange` on the source expression.
   Interval runRange(const Box &B, TapeScratch &S) const;
-
-  /// Batch three-valued evaluation: one result per lane of \p Batch into
-  /// \p Out (length Batch.count()). Straight-line execution, per-
-  /// instruction lane loops. Lane I's result is bit-identical to
-  /// `run(Batch.box(I))`.
-  void runBatch(const BoxBatch &Batch, TapeScratch &S, Tribool *Out) const;
 
   bool resultIsBool() const { return ResultIsBool; }
   size_t length() const { return Insns.size(); }

@@ -28,13 +28,11 @@
 /// Refuted obligations — actual counterexamples — remain hard errors at
 /// every rung. The per-query outcome is recorded in degradation().
 ///
-/// Registration parallelizes across queries/classifiers and inside each
-/// solver call (SessionOptions::Par): building artifacts for a
-/// declaration is a pure function of (module, options), so independent
-/// declarations synthesize and verify concurrently and the results are
-/// installed in declaration order. Without session-wide budgets the
-/// result is byte-identical to a serial session; with them, *which* rung
-/// a query lands on can depend on timing, but never its soundness.
+/// Registration is serial and deterministic: declarations build and
+/// install in declaration order, and without a wall-clock deadline the
+/// artifacts and solver node counts are identical run to run. With a
+/// deadline, *which* rung a query lands on can depend on timing, but
+/// never its soundness.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -96,12 +94,6 @@ struct SessionOptions {
   bool Verify = true;
   /// Knowledge-representation cap (see KnowledgeTracker).
   size_t MaxKnowledgeBoxes = 256;
-  /// Thread budget for registration (synthesis + verification).
-  /// Threads = 0 uses hardware concurrency, 1 selects the exact legacy
-  /// serial code path. When Synth.Par.Pool is pre-set the session uses
-  /// that pool and this knob is ignored. Artifacts are bit-identical for
-  /// every thread count.
-  Parallelism Par = {};
   /// Session-wide cumulative solver-node cap across every query,
   /// classifier, attempt, and verification pass. 0 = unlimited.
   uint64_t MaxSessionNodes = 0;
@@ -161,9 +153,8 @@ struct SessionOptions {
 template <AbstractDomain D> class AnosySession {
 public:
   /// Synthesizes and verifies ind. sets for every query in \p M, then
-  /// builds the knowledge tracker. Fails with the offending query's error
-  /// if any step rejects; with several offenders, the first in
-  /// declaration order wins (as in a serial registration loop). Under
+  /// builds the knowledge tracker. Fails with the first offending
+  /// declaration's error if any step rejects. Under
   /// GracefulDegradation, budget/deadline exhaustion degrades per query
   /// instead of failing — inspect degradation() afterwards.
   static Result<AnosySession> create(Module M, KnowledgePolicy<D> Policy,
@@ -175,51 +166,19 @@ public:
     ANOSY_OBS_SPAN_ARG(Span, "queries", Queries.size());
     ANOSY_OBS_SPAN_ARG(Span, "classifiers", Classifiers.size());
 
-    ThreadPool *Pool = Session.Options.Synth.Par.Pool;
-    ANOSY_OBS_SPAN_ARG(Span, "threads",
-                       Pool != nullptr ? Pool->threadCount() : 1u);
-    if (Pool != nullptr && Pool->threadCount() > 1) {
-      // Build every declaration's artifacts concurrently (builds are
-      // independent and pure), then install serially in declaration
-      // order so tracker state and error choice match a serial session.
-      size_t NQ = Queries.size();
-      std::vector<std::optional<Result<QueryArtifacts<D>>>> QSlots(NQ);
-      std::vector<std::optional<Result<ClassifierBuild>>> CSlots(
-          Classifiers.size());
-      Pool->parallelFor(NQ + Classifiers.size(), [&](size_t I) {
-        if (I < NQ)
-          QSlots[I].emplace(Session.buildQueryArtifacts(Queries[I]));
-        else
-          CSlots[I - NQ].emplace(
-              Session.buildClassifierInfo(Classifiers[I - NQ]));
-      });
-      for (size_t I = 0; I != QSlots.size(); ++I) {
-        if (!*QSlots[I])
-          return QSlots[I]->error();
-        Session.installQuery(Queries[I], QSlots[I]->takeValue());
-      }
-      for (size_t I = 0; I != CSlots.size(); ++I) {
-        if (!*CSlots[I])
-          return CSlots[I]->error();
-        Session.installClassifier(CSlots[I]->takeValue());
-      }
-    } else {
-      for (const QueryDef &Q : Queries) {
-        auto Art = Session.buildQueryArtifacts(Q);
-        if (!Art)
-          return Art.error();
-        Session.installQuery(Q, Art.takeValue());
-      }
-      for (const ClassifierDef &C : Classifiers) {
-        auto Info = Session.buildClassifierInfo(C);
-        if (!Info)
-          return Info.error();
-        Session.installClassifier(Info.takeValue());
-      }
+    for (const QueryDef &Q : Queries) {
+      auto Art = Session.buildQueryArtifacts(Q);
+      if (!Art)
+        return Art.error();
+      Session.installQuery(Q, Art.takeValue());
+    }
+    for (const ClassifierDef &C : Classifiers) {
+      auto Info = Session.buildClassifierInfo(C);
+      if (!Info)
+        return Info.error();
+      Session.installClassifier(Info.takeValue());
     }
     publishSessionStats(Session.Stats);
-    if (Pool != nullptr)
-      publishPoolStats(Pool->stats());
     return Session;
   }
 
@@ -374,12 +333,6 @@ private:
       : M(std::move(M)), Options(InOptions),
         Tracker(std::make_unique<KnowledgeTracker<D>>(
             this->M.schema(), std::move(Policy), Options.MaxKnowledgeBoxes)) {
-    // One pool serves the whole session unless the caller brought their
-    // own; Threads == 1 keeps the legacy serial path (no pool at all).
-    if (Options.Synth.Par.Pool == nullptr && !Options.Par.serial()) {
-      OwnedPool = std::make_unique<ThreadPool>(Options.Par);
-      Options.Synth.Par.Pool = OwnedPool.get();
-    }
     // The session-wide budget every per-call budget chains to. Created
     // only when a cap is requested: the parent check in charge() is not
     // free, and capless sessions must behave exactly as before.
@@ -454,7 +407,6 @@ private:
                                    uint64_t MaxNodes, bool Chained,
                                    uint64_t &NodesOut) const {
     RefinementChecker Checker(M.schema(), Body, MaxNodes,
-                              Options.Synth.Par,
                               Chained ? Options.Synth.SessionBudget : nullptr,
                               Chained ? Options.Synth.DeadlineMs : 0);
     CertificateBundle B = Checker.checkIndSets(Ind, ApproxKind::Under);
@@ -517,7 +469,7 @@ private:
   }
 
   /// Steps I–IV for one query with the full degradation ladder. No
-  /// session mutation: safe to run concurrently for independent queries.
+  /// session mutation; installQuery applies the result.
   Result<QueryArtifacts<D>> buildQueryArtifacts(const QueryDef &Q) const {
     const Schema &S = M.schema();
     const unsigned MaxAttempts = std::max(1u, Options.Retry.MaxAttempts);
@@ -771,8 +723,8 @@ private:
     return Art;
   }
 
-  /// Installs built artifacts into the tracker and merges bookkeeping;
-  /// serial, in declaration order.
+  /// Installs built artifacts into the tracker and merges bookkeeping, in
+  /// declaration order.
   void installQuery(const QueryDef &Q, QueryArtifacts<D> Art) {
     QueryInfo<D> Info;
     Info.Name = Q.Name;
@@ -857,7 +809,6 @@ private:
       for (const OutputIndSet<D> &O : Info.Ind) {
         RefinementChecker Checker(
             S, Synth->outputQuery(O.Value), SOpt.MaxSolverNodes,
-            Options.Synth.Par,
             ChainedVerify ? Options.Synth.SessionBudget : nullptr,
             ChainedVerify ? Options.Synth.DeadlineMs : 0);
         // Per-output obligation: every member of the set maps to O.Value.
@@ -929,7 +880,6 @@ private:
   Module M;
   SessionOptions Options;
   ModuleAnalysis Analysis;
-  std::unique_ptr<ThreadPool> OwnedPool;
   std::unique_ptr<SolverBudget> SessionBudget;
   std::unique_ptr<KnowledgeTracker<D>> Tracker;
   std::map<std::string, QueryArtifacts<D>> Artifacts;

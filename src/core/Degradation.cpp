@@ -21,21 +21,6 @@ void anosy::publishSessionStats(const SessionStats &Stats) {
                             Stats.SynthSeconds);
 }
 
-void anosy::publishPoolStats(const ThreadPool::PoolStats &Stats) {
-  ANOSY_OBS_GAUGE_SET("anosy_pool_tasks_submitted",
-                      "Tasks submitted to the session thread pool",
-                      static_cast<int64_t>(Stats.Submitted));
-  ANOSY_OBS_GAUGE_SET("anosy_pool_tasks_executed",
-                      "Tasks executed by the session thread pool",
-                      static_cast<int64_t>(Stats.Executed));
-  ANOSY_OBS_GAUGE_SET("anosy_pool_tasks_stolen",
-                      "Tasks stolen across worker deques",
-                      static_cast<int64_t>(Stats.Stolen));
-  ANOSY_OBS_GAUGE_SET("anosy_pool_peak_queue_depth",
-                      "High-water mark of the pool's queued-task count",
-                      static_cast<int64_t>(Stats.PeakQueueDepth));
-}
-
 const char *anosy::degradationReasonName(DegradationReason R) {
   switch (R) {
   case DegradationReason::SynthesisExhausted:

@@ -39,8 +39,8 @@ template <AbstractDomain D> struct QueryInfo {
   /// Which approximation the ind. sets are (policy enforcement uses Under).
   ApproxKind Kind = ApproxKind::Under;
   /// The query compiled to an interval-eval tape at registration (null
-  /// when the compiled-eval mode says tree-walk). Every later box probe
-  /// against this query goes through predicate() and reuses it.
+  /// for queries below MinCompileTreeSize, which tree-walk). Every later
+  /// box probe against this query goes through predicate() and reuses it.
   TapeRef CompiledQuery;
 
   /// Runs the query on a concrete secret.

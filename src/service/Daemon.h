@@ -153,9 +153,11 @@ struct DaemonOptions {
   /// Base backoff between flush attempts, doubled per retry.
   uint64_t RetryBackoffMs = 1;
   TenantQuotas Quotas;
-  /// Base options for every tenant session (threads, retry policy, ...).
-  /// StaticAdmission is forced on per registration — the front door's
-  /// lint admission — unless a service-admit fault skips it.
+  /// Base options for every tenant session (budgets, retry policy, ...).
+  /// Each session registers serially on the worker serving its tenant;
+  /// the workers are the daemon's only concurrency. StaticAdmission is
+  /// forced on per registration — the front door's lint admission —
+  /// unless a service-admit fault skips it.
   SessionOptions Session;
 };
 

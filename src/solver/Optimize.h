@@ -52,10 +52,6 @@ struct GrowerConfig {
   /// Independent seed searches; more restarts explore more maximal boxes.
   unsigned Restarts = 6;
   uint64_t Seed = 0xA905;
-  /// Parallel execution: restarts run concurrently and the inner ∀/∃
-  /// decisions parallelize; the selected box is bit-identical to the
-  /// serial grower for any thread count.
-  SolverParallel Par = {};
 };
 
 /// Result of a grow run.
@@ -83,8 +79,7 @@ struct BoundResult {
   bool Exhausted = false;
 };
 BoundResult tightBoundingBox(const Predicate &P, const Box &Bounds,
-                             SolverBudget &Budget,
-                             const SolverParallel &Par = {});
+                             SolverBudget &Budget);
 
 } // namespace anosy
 

@@ -12,8 +12,8 @@ using namespace anosy;
 namespace {
 
 /// Per-thread tape scratch, shared by every compiled predicate on the
-/// thread (the scratch is sized per run, so sharing is safe). Pool
-/// threads in the parallel solver each get their own.
+/// thread (the scratch is sized per run, so sharing is safe). Each anosyd
+/// worker gets its own.
 TapeScratch &tapeScratch() {
   thread_local TapeScratch S;
   return S;
@@ -30,13 +30,6 @@ public:
     if (T)
       return T->run(B, tapeScratch());
     return evalTribool(*E, B);
-  }
-  void evalBoxBatch(const BoxBatch &Batch, Tribool *Out) const override {
-    if (T) {
-      T->runBatch(Batch, tapeScratch(), Out);
-      return;
-    }
-    Predicate::evalBoxBatch(Batch, Out);
   }
   // Concrete evaluation stays on the AST: evalBool uses plain wrapping
   // int64 arithmetic while the tape saturates, and points must keep the
@@ -71,11 +64,6 @@ public:
   Tribool evalBox(const Box &B) const override {
     return triNot(A->evalBox(B));
   }
-  void evalBoxBatch(const BoxBatch &Batch, Tribool *Out) const override {
-    A->evalBoxBatch(Batch, Out);
-    for (size_t I = 0, N = Batch.count(); I != N; ++I)
-      Out[I] = triNot(Out[I]);
-  }
   bool evalPoint(const Point &P) const override { return !A->evalPoint(P); }
   void splitHints(SplitHints &Hints) const override { A->splitHints(Hints); }
   std::string str() const override { return "!(" + A->str() + ")"; }
@@ -93,13 +81,6 @@ public:
     if (TA == Tribool::False)
       return Tribool::False;
     return triAnd(TA, B->evalBox(Bx));
-  }
-  void evalBoxBatch(const BoxBatch &Batch, Tribool *Out) const override {
-    A->evalBoxBatch(Batch, Out);
-    std::vector<Tribool> RHS(Batch.count());
-    B->evalBoxBatch(Batch, RHS.data());
-    for (size_t I = 0, N = Batch.count(); I != N; ++I)
-      Out[I] = triAnd(Out[I], RHS[I]);
   }
   bool evalPoint(const Point &P) const override {
     return A->evalPoint(P) && B->evalPoint(P);
@@ -125,13 +106,6 @@ public:
     if (TA == Tribool::True)
       return Tribool::True;
     return triOr(TA, B->evalBox(Bx));
-  }
-  void evalBoxBatch(const BoxBatch &Batch, Tribool *Out) const override {
-    A->evalBoxBatch(Batch, Out);
-    std::vector<Tribool> RHS(Batch.count());
-    B->evalBoxBatch(Batch, RHS.data());
-    for (size_t I = 0, N = Batch.count(); I != N; ++I)
-      Out[I] = triOr(Out[I], RHS[I]);
   }
   bool evalPoint(const Point &P) const override {
     return A->evalPoint(P) || B->evalPoint(P);
@@ -216,11 +190,6 @@ private:
 };
 
 } // namespace
-
-void Predicate::evalBoxBatch(const BoxBatch &Batch, Tribool *Out) const {
-  for (size_t I = 0, N = Batch.count(); I != N; ++I)
-    Out[I] = evalBox(Batch.box(I));
-}
 
 PredicateRef anosy::exprPredicate(ExprRef E) {
   TapeRef T = getOrCompileTape(E);

@@ -24,7 +24,6 @@
 #ifndef ANOSY_SOLVER_PREDICATE_H
 #define ANOSY_SOLVER_PREDICATE_H
 
-#include "compile/BoxBatch.h"
 #include "compile/Tape.h"
 #include "domains/Box.h"
 #include "domains/PowerBox.h"
@@ -47,12 +46,6 @@ public:
   /// of \p B satisfies the predicate, False means none does.
   virtual Tribool evalBox(const Box &B) const = 0;
 
-  /// Batch form of evalBox: one Tribool per lane of \p Batch into \p Out
-  /// (length Batch.count()). Lane I equals evalBox(Batch.box(I)) exactly.
-  /// The base implementation materializes each lane; query predicates
-  /// override it with the compiled tape's batch interpreter.
-  virtual void evalBoxBatch(const BoxBatch &Batch, Tribool *Out) const;
-
   /// Concrete truth at \p P.
   virtual bool evalPoint(const Point &P) const = 0;
 
@@ -71,14 +64,15 @@ protected:
 using PredicateRef = std::shared_ptr<const Predicate>;
 
 /// The query predicate: wraps a boolean-sorted expression; box evaluation
-/// is abstract interval evaluation. Under the current compiled-eval mode
-/// (compile/CompiledEval.h) the expression is compiled to a tape — cached
-/// process-wide — and box probes run the tape instead of tree-walking.
+/// is abstract interval evaluation. Expressions large enough to pay for
+/// compilation (compile/CompiledEval.h) get a tape — cached process-wide —
+/// and box probes run the tape instead of tree-walking.
 PredicateRef exprPredicate(ExprRef E);
 
 /// As above, but with a tape the caller already compiled (registration
 /// caches tapes on QueryInfo so per-session rebuilds skip the cache
-/// lookup). A null \p Tape means tree-walk unconditionally.
+/// lookup). A null \p Tape means tree-walk unconditionally — the
+/// differential oracle's path.
 PredicateRef exprPredicate(ExprRef E, TapeRef Tape);
 
 /// Constant predicate.

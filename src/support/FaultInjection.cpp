@@ -9,10 +9,10 @@ using namespace anosy;
 namespace {
 
 const char *SiteNames[NumFaultSites] = {
-    "solver-charge",  "grower-restart", "verifier-obligation",
-    "kb-read",        "kb-write",       "pool-task",
-    "service-accept", "service-admit",  "service-enqueue",
-    "service-flush",  "kb-dir-fsync",
+    "solver-charge", "grower-restart",  "verifier-obligation",
+    "kb-read",       "kb-write",        "service-accept",
+    "service-admit", "service-enqueue", "service-flush",
+    "kb-dir-fsync",
 };
 
 /// splitmix64: the standard 64-bit finalizer; good avalanche, no state.

@@ -28,9 +28,9 @@
 /// What a fault *means* is decided at each site — always a fault the
 /// production code already tolerates (a budget that refuses a charge, a
 /// grower restart that is abandoned, a verifier obligation left undecided,
-/// a torn knowledge-base write, a bit-flipped read, a pool task demoted to
-/// inline execution). Injection never introduces new failure behavior; it
-/// forces the existing degraded paths to run.
+/// a torn knowledge-base write, a bit-flipped read, a shed request).
+/// Injection never introduces new failure behavior; it forces the existing
+/// degraded paths to run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,8 +61,6 @@ enum class FaultSite : unsigned {
   /// A knowledge-base write "crashes" mid-write: the temp file is
   /// truncated and never renamed over the destination.
   KbWrite,
-  /// A thread-pool task is demoted to inline execution on the spawner.
-  PoolTask,
   /// The daemon front door fails to accept a request (transient listener
   /// fault); the caller receives an explicit Overloaded response and
   /// retries — never a hang.
@@ -87,7 +85,7 @@ enum class FaultSite : unsigned {
   KbDirFsync,
 };
 
-inline constexpr unsigned NumFaultSites = 11;
+inline constexpr unsigned NumFaultSites = 10;
 
 /// Stable kebab-case name ("solver-charge", ...) used by spec strings.
 const char *faultSiteName(FaultSite Site);

@@ -8,7 +8,7 @@
 /// Checked full-token integer parsing for command-line flags. Unlike
 /// atoi/strtoll, these reject empty tokens, trailing garbage, and
 /// out-of-range values instead of silently returning 0 or saturating —
-/// `--threads=abc` and `--min-size=9999999999999999999999` are errors,
+/// `--retry=abc` and `--min-size=9999999999999999999999` are errors,
 /// not surprising configurations. Header-only and allocation-free.
 ///
 //===----------------------------------------------------------------------===//
@@ -59,7 +59,7 @@ inline std::optional<int64_t> parseInt64(std::string_view Token) {
   return static_cast<int64_t>(*Magnitude);
 }
 
-/// parseUint64 range-checked into `unsigned` (thread counts, retry
+/// parseUint64 range-checked into `unsigned` (worker counts, retry
 /// counts, powerset k).
 inline std::optional<unsigned> parseUnsigned(std::string_view Token) {
   auto V = parseUint64(Token);

@@ -10,24 +10,6 @@
 
 using namespace anosy;
 
-namespace {
-
-/// Runs Fn(0..N-1) on the pool when parallelism is enabled, serially
-/// otherwise. Per-output work is independent; callers write into
-/// index-addressed slots and combine in output order, so results are
-/// identical either way.
-void forEachOutput(const SolverParallel &Par, size_t N,
-                   const std::function<void(size_t)> &Fn) {
-  if (Par.enabled()) {
-    Par.Pool->parallelFor(N, Fn);
-    return;
-  }
-  for (size_t I = 0; I != N; ++I)
-    Fn(I);
-}
-
-} // namespace
-
 Result<ClassifierSynthesizer>
 ClassifierSynthesizer::create(const Schema &S, ExprRef Body,
                               SynthOptions Options, unsigned MaxOutputs) {
@@ -54,20 +36,19 @@ ClassifierSynthesizer::create(const Schema &S, ExprRef Body,
                      std::to_string(MaxOutputs) +
                      ") are supported (§5.1)");
 
-  // Keep the feasible outputs: values some secret actually produces. The
-  // per-value ∃-searches are independent, so they run as pool tasks;
-  // scanning the slots in value order preserves the serial result.
+  // Keep the feasible outputs: values some secret actually produces. Every
+  // value is searched before the results are scanned in value order.
   size_t NumVals = static_cast<size_t>(Range.Hi - Range.Lo + 1);
   std::vector<ExistsResult> Found(NumVals);
   SolverBudget Budget(Options.MaxSolverNodes);
   Budget.Parent = Options.SessionBudget;
   if (Options.DeadlineMs != 0)
     Budget.setDeadlineAfterMs(Options.DeadlineMs);
-  forEachOutput(Options.Par, NumVals, [&](size_t I) {
+  for (size_t I = 0; I != NumVals; ++I) {
     PredicateRef Is =
         exprPredicate(eq(Body, intConst(Range.Lo + static_cast<int64_t>(I))));
-    Found[I] = findWitness(*Is, Top, Budget, Options.Par);
-  });
+    Found[I] = findWitness(*Is, Top, Budget);
+  }
 
   std::vector<int64_t> Outputs;
   for (size_t I = 0; I != NumVals; ++I) {
@@ -96,18 +77,18 @@ ClassifierSynthesizer::synthesizeInterval(ApproxKind Kind,
   size_t N = Outputs.size();
   std::vector<std::optional<Result<IndSets<Box>>>> Slots(N);
   std::vector<SynthStats> Local(N);
-  forEachOutput(Options.Par, N, [&](size_t I) {
+  for (size_t I = 0; I != N; ++I) {
     auto Sy = Synthesizer::create(S, outputQuery(Outputs[I]), Options);
     if (!Sy) {
       Slots[I].emplace(Sy.error());
-      return;
+      continue;
     }
     Slots[I].emplace(Sy->synthesizeInterval(Kind, Stats ? &Local[I] : nullptr));
-  });
+  }
 
   std::vector<OutputIndSet<Box>> Sets;
   for (size_t I = 0; I != N; ++I) {
-    // First failure in output order wins, as in the serial loop.
+    // First failure in output order wins.
     if (!*Slots[I])
       return Slots[I]->error();
     if (Stats) {
@@ -130,15 +111,15 @@ ClassifierSynthesizer::synthesizePowerset(ApproxKind Kind, unsigned K,
   size_t N = Outputs.size();
   std::vector<std::optional<Result<IndSets<PowerBox>>>> Slots(N);
   std::vector<SynthStats> Local(N);
-  forEachOutput(Options.Par, N, [&](size_t I) {
+  for (size_t I = 0; I != N; ++I) {
     auto Sy = Synthesizer::create(S, outputQuery(Outputs[I]), Options);
     if (!Sy) {
       Slots[I].emplace(Sy.error());
-      return;
+      continue;
     }
     Slots[I].emplace(
         Sy->synthesizePowerset(Kind, K, Stats ? &Local[I] : nullptr));
-  });
+  }
 
   std::vector<OutputIndSet<PowerBox>> Sets;
   for (size_t I = 0; I != N; ++I) {

@@ -45,10 +45,6 @@ struct SynthOptions {
   uint64_t Seed = 0xA905;
   /// Solver node budget per synthesis call.
   uint64_t MaxSolverNodes = 200'000'000;
-  /// Parallel execution of the underlying solver calls and grower
-  /// restarts. Synthesized domains are bit-identical to serial runs for
-  /// any thread count (see DESIGN.md "Parallel execution").
-  SolverParallel Par = {};
   /// Session-wide cumulative budget (node cap and/or wall-clock deadline)
   /// every per-call budget chains to. Borrowed, never owned; nullptr
   /// means the per-call budget stands alone.
@@ -153,9 +149,9 @@ private:
   ExprRef Query;
   SynthOptions Options;
   Box Bounds; ///< The schema's full box.
-  /// The query compiled to an interval-eval tape under the compiled-eval
-  /// mode at construction (null = tree-walk). Both synthesis arms reuse
-  /// it, so one registration compiles the query exactly once.
+  /// The query compiled to an interval-eval tape at construction (null =
+  /// tree-walk, for queries below MinCompileTreeSize). Both synthesis
+  /// arms reuse it, so one registration compiles the query exactly once.
   TapeRef QueryTape;
 };
 

@@ -10,12 +10,11 @@ using namespace anosy;
 
 RefinementChecker::RefinementChecker(const Schema &InS, ExprRef InQuery,
                                      uint64_t MaxSolverNodes,
-                                     SolverParallel InPar,
                                      SolverBudget *InSessionBudget,
                                      uint64_t InDeadlineMs)
     : S(InS), Query(std::move(InQuery)), Bounds(Box::top(InS)),
-      MaxSolverNodes(MaxSolverNodes), Par(InPar),
-      SessionBudget(InSessionBudget), DeadlineMs(InDeadlineMs),
+      MaxSolverNodes(MaxSolverNodes), SessionBudget(InSessionBudget),
+      DeadlineMs(InDeadlineMs),
       QueryTape(getOrCompileTape(this->Query)) {
   assert(this->Query && this->Query->isBoolSorted() &&
          "refinement checking needs a boolean query");
@@ -41,7 +40,7 @@ RefinementChecker::checkForallObligation(const std::string &Obligation,
   Budget.Parent = SessionBudget;
   if (DeadlineMs != 0)
     Budget.setDeadlineAfterMs(DeadlineMs);
-  ForallResult R = checkForall(*P, Over, Budget, Par);
+  ForallResult R = checkForall(*P, Over, Budget);
   NodesUsed += Budget.used();
 
   Certificate C;

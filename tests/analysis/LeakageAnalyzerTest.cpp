@@ -122,7 +122,7 @@ TEST(LeakageAnalyzer, DeterministicAndRenderable) {
     B.push_back({P.Id, Opt, analyzeModule(P.M, Opt)});
   }
   // Bit-identical reports across runs (the analyzer has no threads, no
-  // randomness, no solver — this is the CLI's --threads invariance).
+  // randomness, no solver).
   EXPECT_EQ(renderLintText(A), renderLintText(B));
   EXPECT_EQ(renderLintJson(A), renderLintJson(B));
   EXPECT_NE(renderLintJson(A).find("\"modules\""), std::string::npos);

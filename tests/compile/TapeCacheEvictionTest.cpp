@@ -20,21 +20,11 @@ using namespace anosy;
 
 namespace {
 
-/// RAII mode override so tests cannot leak a mode into each other.
-class ScopedMode {
-public:
-  explicit ScopedMode(CompiledEvalMode M) : Prev(compiledEvalMode()) {
-    setCompiledEvalMode(M);
-  }
-  ~ScopedMode() { setCompiledEvalMode(Prev); }
-
-private:
-  CompiledEvalMode Prev;
-};
-
-/// A distinct-by-constant cold shape: $0 + k <= $1.
+/// A distinct-by-constant cold shape: $0 + (k + 1) <= $1. The constant is
+/// never 0 (the factory would fold `$0 + 0` away), so every shape keeps
+/// five nodes, meets MinCompileTreeSize and compiles.
 ExprRef coldShape(int64_t K) {
-  return cmp(CmpOp::LE, add(fieldRef(0), intConst(K)), fieldRef(1));
+  return cmp(CmpOp::LE, add(fieldRef(0), intConst(K + 1)), fieldRef(1));
 }
 
 /// The hot shape, structurally stable across calls.
@@ -46,7 +36,6 @@ ExprRef hotShape() {
 } // namespace
 
 TEST(TapeCacheEviction, HotShapeSurvivesColdOverflow) {
-  ScopedMode On(CompiledEvalMode::On);
   tapeCacheClearForTest();
 
   TapeRef Hot = getOrCompileTape(hotShape());
@@ -69,7 +58,6 @@ TEST(TapeCacheEviction, HotShapeSurvivesColdOverflow) {
 }
 
 TEST(TapeCacheEviction, SweepDropsUnreferencedColdShapes) {
-  ScopedMode On(CompiledEvalMode::On);
   tapeCacheClearForTest();
 
   // Fill past capacity with one-shot shapes. After the overflow sweep the
@@ -83,7 +71,6 @@ TEST(TapeCacheEviction, SweepDropsUnreferencedColdShapes) {
 }
 
 TEST(TapeCacheEviction, RacingCompilesConvergeOnOneTape) {
-  ScopedMode On(CompiledEvalMode::On);
   tapeCacheClearForTest();
 
   // N threads race structurally-equal (but distinct-node) expressions

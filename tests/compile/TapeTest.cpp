@@ -3,8 +3,6 @@
 #include "compile/CompiledEval.h"
 #include "compile/Tape.h"
 #include "domains/Box.h"
-#include "obs/Metrics.h"
-#include "obs/Obs.h"
 #include "solver/Predicate.h"
 #include "solver/RangeEval.h"
 
@@ -19,18 +17,6 @@ namespace {
 Box box2(int64_t ALo, int64_t AHi, int64_t BLo, int64_t BHi) {
   return Box({{ALo, AHi}, {BLo, BHi}});
 }
-
-/// RAII mode override so tests cannot leak a mode into each other.
-class ScopedMode {
-public:
-  explicit ScopedMode(CompiledEvalMode M) : Prev(compiledEvalMode()) {
-    setCompiledEvalMode(M);
-  }
-  ~ScopedMode() { setCompiledEvalMode(Prev); }
-
-private:
-  CompiledEvalMode Prev;
-};
 
 TEST(TapeTest, CompilesComparisonToExpectedShape) {
   // $0 + 3 <= $1  →  ldf, ldc, add, ldf, cmp.
@@ -98,38 +84,6 @@ TEST(TapeTest, ShortCircuitJumpsSkipDeadSide) {
   EXPECT_EQ(T->run(box2(-10, 10, 200, 300), S), Tribool::Unknown);
 }
 
-TEST(TapeTest, BatchMatchesScalarLaneByLane) {
-  TapeScratch S;
-  ExprRef Q = orOf(implies(le(fieldRef(0), intConst(0)),
-                           eq(fieldRef(1), intConst(7))),
-                   gt(add(fieldRef(0), fieldRef(1)), intConst(50)));
-  TapeRef T = Tape::compile(*Q);
-  ASSERT_NE(T, nullptr);
-
-  std::vector<Box> Boxes = {box2(-5, 5, 0, 14), box2(1, 2, 7, 7),
-                            box2(-3, 0, 7, 7), box2(100, 200, 0, 0),
-                            box2(0, 0, 0, 0),
-                            box2(INT64_MIN, INT64_MAX, INT64_MIN, INT64_MAX)};
-  BoxBatch Batch;
-  Batch.assign(Boxes.data(), Boxes.size());
-  std::vector<Tribool> Out(Boxes.size());
-  T->runBatch(Batch, S, Out.data());
-  for (size_t I = 0; I != Boxes.size(); ++I)
-    EXPECT_EQ(Out[I], T->run(Boxes[I], S)) << Boxes[I].str();
-}
-
-TEST(TapeTest, BoxBatchRoundTripsLanes) {
-  std::vector<Box> Boxes = {box2(1, 2, 3, 4), box2(-9, 9, 0, 0)};
-  BoxBatch Batch;
-  Batch.assign(Boxes.data(), Boxes.size());
-  EXPECT_EQ(Batch.arity(), 2u);
-  EXPECT_EQ(Batch.count(), 2u);
-  EXPECT_EQ(Batch.box(0), Boxes[0]);
-  EXPECT_EQ(Batch.box(1), Boxes[1]);
-  EXPECT_EQ(Batch.lo(1)[0], 3);
-  EXPECT_EQ(Batch.hi(0)[1], 9);
-}
-
 TEST(TapeTest, DisassemblyNamesEveryInstruction) {
   ExprRef Q = orOf(notOf(le(fieldRef(0), intConst(0))),
                    lt(minOf(fieldRef(0), fieldRef(1)), intConst(4)));
@@ -143,44 +97,20 @@ TEST(TapeTest, DisassemblyNamesEveryInstruction) {
     EXPECT_NE(Dis.find(Mnemonic), std::string::npos) << Dis;
 }
 
-TEST(TapeTest, ModeParsingAndNames) {
-  CompiledEvalMode M = CompiledEvalMode::Auto;
-  EXPECT_TRUE(parseCompiledEvalMode("off", M));
-  EXPECT_EQ(M, CompiledEvalMode::Off);
-  EXPECT_TRUE(parseCompiledEvalMode("on", M));
-  EXPECT_EQ(M, CompiledEvalMode::On);
-  EXPECT_TRUE(parseCompiledEvalMode("auto", M));
-  EXPECT_EQ(M, CompiledEvalMode::Auto);
-  EXPECT_FALSE(parseCompiledEvalMode("fast", M));
-  EXPECT_EQ(M, CompiledEvalMode::Auto);
-  EXPECT_STREQ(compiledEvalModeName(CompiledEvalMode::Off), "off");
-  EXPECT_STREQ(compiledEvalModeName(CompiledEvalMode::On), "on");
-  EXPECT_STREQ(compiledEvalModeName(CompiledEvalMode::Auto), "auto");
-}
-
-TEST(TapeTest, ModeGatesCompilation) {
+TEST(TapeTest, CompileRuleGatesOnTreeSize) {
+  // A lone comparison stays on the tree walk; a conjunction compiles.
   ExprRef Tiny = lt(fieldRef(0), intConst(3));
   ExprRef Big = andOf(lt(fieldRef(0), intConst(3)),
                       gt(fieldRef(1), intConst(-3)));
-  {
-    ScopedMode Off(CompiledEvalMode::Off);
-    EXPECT_EQ(getOrCompileTape(Big), nullptr);
-  }
-  {
-    ScopedMode On(CompiledEvalMode::On);
-    EXPECT_NE(getOrCompileTape(Tiny), nullptr);
-    EXPECT_NE(getOrCompileTape(Big), nullptr);
-  }
-  {
-    ScopedMode Auto(CompiledEvalMode::Auto);
-    // A lone comparison stays on the tree walk; a conjunction compiles.
-    EXPECT_EQ(getOrCompileTape(Tiny), nullptr);
-    EXPECT_NE(getOrCompileTape(Big), nullptr);
-  }
+  ASSERT_LT(Tiny->treeSize(), MinCompileTreeSize);
+  ASSERT_GE(Big->treeSize(), MinCompileTreeSize);
+  EXPECT_EQ(getOrCompileTape(Tiny), nullptr);
+  EXPECT_NE(getOrCompileTape(Big), nullptr);
+  // The rule is about cost, not ability: the tape compiles either one.
+  EXPECT_NE(Tape::compile(*Tiny), nullptr);
 }
 
 TEST(TapeTest, CacheReturnsSameTapeForEqualQueries) {
-  ScopedMode On(CompiledEvalMode::On);
   ExprRef A = andOf(lt(fieldRef(0), intConst(17)),
                     gt(fieldRef(1), intConst(-17)));
   ExprRef B = andOf(lt(fieldRef(0), intConst(17)),
@@ -192,56 +122,18 @@ TEST(TapeTest, CacheReturnsSameTapeForEqualQueries) {
   EXPECT_EQ(TA.get(), TB.get()) << "structural cache must dedupe compiles";
 }
 
-TEST(TapeTest, PredicateBatchAgreesWithEvalBoxAcrossCombinators) {
-  ScopedMode On(CompiledEvalMode::On);
-  PredicateRef Q = exprPredicate(
-      andOf(le(fieldRef(0), fieldRef(1)), ge(fieldRef(0), intConst(-20))));
-  PredicateRef P = orPredicate(
-      notPredicate(Q), andPredicate(inBoxPredicate(box2(0, 50, 0, 50)), Q));
-
-  std::vector<Box> Boxes = {box2(-30, -25, 0, 0), box2(0, 10, 20, 30),
-                            box2(-20, 60, -20, 60), box2(5, 5, 5, 5)};
-  BoxBatch Batch;
-  Batch.assign(Boxes.data(), Boxes.size());
-  std::vector<Tribool> Out(Boxes.size());
-  P->evalBoxBatch(Batch, Out.data());
-  for (size_t I = 0; I != Boxes.size(); ++I)
-    EXPECT_EQ(Out[I], P->evalBox(Boxes[I])) << Boxes[I].str();
-}
-
-TEST(TapeTest, BatchEvalCounterCountsLanes) {
-  ExprRef Q = andOf(lt(fieldRef(0), intConst(0)),
-                    gt(fieldRef(1), intConst(100)));
-  TapeRef T = Tape::compile(*Q);
-  ASSERT_NE(T, nullptr);
-  std::vector<Box> Boxes = {box2(0, 1, 0, 1), box2(-2, -1, 200, 300),
-                            box2(-5, 5, 0, 200)};
-  BoxBatch Batch;
-  Batch.assign(Boxes.data(), Boxes.size());
-  TapeScratch S;
-  std::vector<Tribool> Out(Boxes.size());
-
-  obs::ScopedEnable On(true);
-  obs::Counter &C = obs::MetricsRegistry::global().counter(
-      "anosy_tape_batch_evals_total");
-  const uint64_t Before = C.value();
-  T->runBatch(Batch, S, Out.data());
-  EXPECT_EQ(C.value(), Before + Boxes.size());
-}
-
-TEST(TapeTest, ExprPredicateHonorsOffMode) {
-  // Off-mode predicates carry no tape and still answer correctly.
-  ScopedMode Off(CompiledEvalMode::Off);
-  PredicateRef P = exprPredicate(
-      andOf(le(fieldRef(0), fieldRef(1)), ge(fieldRef(0), intConst(-20))));
-  EXPECT_EQ(P->evalBox(box2(0, 10, 20, 30)), Tribool::True);
-  std::vector<Box> Boxes = {box2(0, 10, 20, 30), box2(-30, -25, -40, -39)};
-  BoxBatch Batch;
-  Batch.assign(Boxes.data(), Boxes.size());
-  Tribool Out[2];
-  P->evalBoxBatch(Batch, Out);
-  EXPECT_EQ(Out[0], Tribool::True);
-  EXPECT_EQ(Out[1], Tribool::False);
+TEST(TapeTest, ExprPredicateWithNullTapeTreeWalks) {
+  // A predicate built without a tape tree-walks and answers exactly as
+  // the compiled one does.
+  ExprRef E =
+      andOf(le(fieldRef(0), fieldRef(1)), ge(fieldRef(0), intConst(-20)));
+  PredicateRef Walk = exprPredicate(E, nullptr);
+  PredicateRef Compiled = exprPredicate(E, Tape::compile(*E));
+  for (const Box &B : {box2(0, 10, 20, 30), box2(-30, -25, -40, -39),
+                       box2(-20, 60, -20, 60), box2(5, 5, 5, 5)}) {
+    EXPECT_EQ(Walk->evalBox(B), evalTribool(*E, B)) << B.str();
+    EXPECT_EQ(Compiled->evalBox(B), Walk->evalBox(B)) << B.str();
+  }
 }
 
 } // namespace

@@ -2,6 +2,7 @@
 
 #include "core/AnosySession.h"
 
+#include "benchlib/Problems.h"
 #include "expr/Parser.h"
 
 #include <gtest/gtest.h>
@@ -20,6 +21,20 @@ Module nearbyModule() {
   )");
   EXPECT_TRUE(M.ok());
   return M.takeValue();
+}
+
+/// Registers each of B1–B5 in its own session with default options
+/// (verification on, k = 3) and returns the solver nodes the sessions
+/// charged in total.
+template <AbstractDomain D> uint64_t paperSuiteSessionNodes() {
+  uint64_t Nodes = 0;
+  for (const BenchmarkProblem &P : mardzielBenchmarks()) {
+    auto S = AnosySession<D>::create(P.M, permissivePolicy<D>());
+    EXPECT_TRUE(S.ok()) << P.Id << ": " << S.error().str();
+    if (S.ok())
+      Nodes += S->stats().SolverNodes;
+  }
+  return Nodes;
 }
 
 } // namespace
@@ -144,4 +159,15 @@ TEST(AnosySession, VerifyOffSkipsCertificates) {
                                      permissivePolicy<Box>(), Options);
   ASSERT_TRUE(S.ok());
   EXPECT_TRUE(S->artifacts("nearby200")->Certificates.Parts.empty());
+}
+
+TEST(AnosySession, DefaultOptionsPinPaperSuiteNodeCounts) {
+  // Registration runs on the one serial engine, so the solver work of a
+  // default session is a fixed number: every pass over the paper suite
+  // charges exactly these nodes (synthesis plus verification).
+  for (int Pass = 0; Pass != 2; ++Pass) {
+    SCOPED_TRACE("pass " + std::to_string(Pass));
+    EXPECT_EQ(paperSuiteSessionNodes<Box>(), 7'342u);
+    EXPECT_EQ(paperSuiteSessionNodes<PowerBox>(), 16'217u);
+  }
 }

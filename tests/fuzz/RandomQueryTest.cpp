@@ -6,7 +6,8 @@
 // brute force on a small secret space:
 //
 //   * abstract (interval) evaluation is sound for every box;
-//   * the ∀/∃ deciders and the model counter agree with enumeration;
+//   * the ∀/∃ deciders and the model counter agree with enumeration, and
+//     run identically on the compiled tape and on the tree walk;
 //   * synthesized under/over ind. sets sandwich the exact sets and pass
 //     the refinement checker;
 //   * the abstract-interpretation baseline's posteriors lose no point;
@@ -19,6 +20,7 @@
 
 #include "baselines/AbstractInterpreter.h"
 #include "baselines/Exhaustive.h"
+#include "compile/Tape.h"
 #include "core/KnowledgeTracker.h"
 #include "expr/Eval.h"
 #include "solver/RangeEval.h"
@@ -163,43 +165,42 @@ TEST_P(RandomQueries, DowngradeSequencesStaySound) {
   }
 }
 
-TEST_P(RandomQueries, ParallelDecidersMatchSerial) {
-  // Differential oracle: the parallel engine is the serial engine. Same
-  // deterministic seeds as the other sweeps; a tiny cutoff volume forces
-  // the decomposition path even on this small space.
+TEST_P(RandomQueries, TapeDecidersMatchTreeWalk) {
+  // Differential oracle: every decider gives the same answer, visits the
+  // same nodes, and returns the same points whether its query predicate
+  // runs the compiled tape or tree-walks the AST.
   QueryGen Gen(GetParam() + 5000);
   Schema S = smallSchema();
   Box Top = Box::top(S);
-  ThreadPool Pool(3);
-  SolverParallel Par;
-  Par.Pool = &Pool;
-  Par.SequentialCutoffVolume = 1;
-  Par.TasksPerThread = 4;
   for (int I = 0; I != 20; ++I) {
     ExprRef Q = Gen.genQuery();
-    PredicateRef P = exprPredicate(Q);
+    TapeRef T = Tape::compile(*Q);
+    ASSERT_NE(T, nullptr) << Q->str();
+    PredicateRef Walk = exprPredicate(Q, nullptr);
+    PredicateRef Compiled = exprPredicate(Q, T);
 
-    SolverBudget CountSerial, CountPar;
-    CountResult CS = countSat(*P, Top, CountSerial);
-    CountResult CP = countSat(*P, Top, CountPar, Par);
-    EXPECT_EQ(CS.Count, CP.Count) << Q->str();
-    EXPECT_EQ(CS.Exhausted, CP.Exhausted) << Q->str();
-    EXPECT_EQ(CountSerial.used(), CountPar.used()) << Q->str();
+    SolverBudget CountWalk, CountTape;
+    CountResult CW = countSat(*Walk, Top, CountWalk);
+    CountResult CT = countSat(*Compiled, Top, CountTape);
+    EXPECT_EQ(CW.Count, CT.Count) << Q->str();
+    EXPECT_EQ(CW.Exhausted, CT.Exhausted) << Q->str();
+    EXPECT_EQ(CountWalk.used(), CountTape.used()) << Q->str();
 
-    SolverBudget FaSerial, FaPar;
-    ForallResult FS = checkForall(*P, Top, FaSerial);
-    ForallResult FP = checkForall(*P, Top, FaPar, Par);
-    EXPECT_EQ(FS.Holds, FP.Holds) << Q->str();
-    EXPECT_EQ(FS.CounterExample, FP.CounterExample) << Q->str();
+    SolverBudget FaWalk, FaTape;
+    ForallResult FW = checkForall(*Walk, Top, FaWalk);
+    ForallResult FT = checkForall(*Compiled, Top, FaTape);
+    EXPECT_EQ(FW.Holds, FT.Holds) << Q->str();
+    EXPECT_EQ(FW.CounterExample, FT.CounterExample) << Q->str();
+    EXPECT_EQ(FaWalk.used(), FaTape.used()) << Q->str();
 
-    SolverBudget ExSerial, ExPar;
-    EXPECT_EQ(findWitness(*P, Top, ExSerial).Witness,
-              findWitness(*P, Top, ExPar, Par).Witness)
+    SolverBudget ExWalk, ExTape;
+    EXPECT_EQ(findWitness(*Walk, Top, ExWalk).Witness,
+              findWitness(*Compiled, Top, ExTape).Witness)
         << Q->str();
 
-    SolverBudget DvSerial, DvPar;
-    EXPECT_EQ(findWitnessDiverse(*P, Top, GetParam(), DvSerial).Witness,
-              findWitnessDiverse(*P, Top, GetParam(), DvPar, Par).Witness)
+    SolverBudget DvWalk, DvTape;
+    EXPECT_EQ(findWitnessDiverse(*Walk, Top, GetParam(), DvWalk).Witness,
+              findWitnessDiverse(*Compiled, Top, GetParam(), DvTape).Witness)
         << Q->str();
   }
 }

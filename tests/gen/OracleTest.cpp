@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace anosy;
 
 namespace {
@@ -214,7 +216,10 @@ TEST(Oracle, MergeAccumulates) {
 // base re-verifies every record, and an injected undecided obligation
 // makes the reload re-synthesize degraded ind. sets. The oracle's strict
 // round-trip equality check must not fire on that legitimate degradation
-// — it applies to fault-free replays only.
+// — it applies to fault-free replays only. The test checks that the
+// scenario really injects a verifier fault, and that the seeded harness
+// replays it exactly: the serial engine makes the same solver calls every
+// run, so every site sees the same hits and injections.
 TEST(Oracle, KbRoundTripCheckToleratesArmedFaults) {
   ScenarioOptions Opt;
   Opt.Family = static_cast<ScenarioFamily>(83 % NumScenarioFamilies);
@@ -245,24 +250,57 @@ TEST(Oracle, KbRoundTripCheckToleratesArmedFaults) {
   if (!Any)
     FC.Sites[static_cast<unsigned>(FaultSite::SolverCharge)].OneIn = 4;
 
-  faults::configure(FC);
-  ReplayResult Replay = replayWithOracle(*M, T, {}, /*CheckKbRoundTrip=*/true);
-  faults::reset();
-  EXPECT_TRUE(Replay.ok())
-      << (Replay.Mismatches.empty() ? "" : Replay.Mismatches[0]);
+  struct SiteCounts {
+    uint64_t Hits = 0, Injected = 0;
+  };
+  std::vector<SiteCounts> Runs[2];
+  for (std::vector<SiteCounts> &Counts : Runs) {
+    faults::configure(FC);
+    ReplayResult Replay =
+        replayWithOracle(*M, T, {}, /*CheckKbRoundTrip=*/true);
+    for (unsigned S = 0; S != NumFaultSites; ++S)
+      Counts.push_back({faults::hits(static_cast<FaultSite>(S)),
+                        faults::injected(static_cast<FaultSite>(S))});
+    faults::reset();
+    EXPECT_TRUE(Replay.ok())
+        << (Replay.Mismatches.empty() ? "" : Replay.Mismatches[0]);
+  }
+  const unsigned Verifier =
+      static_cast<unsigned>(FaultSite::VerifierObligation);
+  EXPECT_GE(Runs[0][Verifier].Injected, 1u);
+  for (unsigned S = 0; S != NumFaultSites; ++S) {
+    EXPECT_EQ(Runs[0][S].Hits, Runs[1][S].Hits)
+        << faultSiteName(static_cast<FaultSite>(S));
+    EXPECT_EQ(Runs[0][S].Injected, Runs[1][S].Injected)
+        << faultSiteName(static_cast<FaultSite>(S));
+  }
 }
 
 // Seeds that exercised tricky paths while the harness was built: each of
 // these replays end-to-end (session, oracle shadow, KB round-trip) and
 // must stay mismatch-free. If one regresses, the mismatch string names
 // the step and check that broke.
+//
+// gtest names each case by the raw bytes of its parameter, so the struct
+// has no padding: Reserved fills the word after Family and is always zero.
+// Padding would print whatever the stack held, and the case names would
+// change from build to build.
 struct RegressionCase {
+  RegressionCase(ScenarioFamily Family, uint64_t ModuleSeed,
+                 AttackerStrategy Strategy, TracePolicy::Kind Policy,
+                 uint64_t TraceSeed)
+      : Family(Family), ModuleSeed(ModuleSeed), Strategy(Strategy),
+        Policy(Policy), TraceSeed(TraceSeed) {}
+
   ScenarioFamily Family;
+  uint32_t Reserved = 0;
   uint64_t ModuleSeed;
   AttackerStrategy Strategy;
   TracePolicy::Kind Policy;
   uint64_t TraceSeed;
 };
+static_assert(sizeof(RegressionCase) == 32,
+              "RegressionCase must have no padding bytes");
 
 class OracleRegression
     : public ::testing::TestWithParam<RegressionCase> {};

@@ -274,42 +274,6 @@ TEST(FaultSuite, BitRotOnReadIsDetectedAndRepairedBySalvage) {
   std::remove(Path.c_str());
 }
 
-// --- Pool faults: demoted tasks, identical artifacts -------------------
-
-TEST(FaultSuite, PoolTaskFaultsNeverChangeArtifacts) {
-  // Task-spawn faults demote work to inline execution — a scheduling
-  // change only. Artifacts must be byte-identical to the serial clean
-  // session's at any thread count.
-  FaultScope Scope;
-  auto Serial = AnosySession<Box>::create(nearbyModule(),
-                                          minSizePolicy<Box>(100));
-  ASSERT_TRUE(Serial.ok());
-
-  for (uint64_t Seed : Seeds) {
-    SCOPED_TRACE("seed " + std::to_string(Seed));
-    FaultConfig C;
-    C.Seed = Seed;
-    C.Sites[static_cast<unsigned>(FaultSite::PoolTask)] = {2, UINT64_MAX};
-    faults::configure(C);
-    SessionOptions Options;
-    Options.Par.Threads = 4;
-    auto S = AnosySession<Box>::create(nearbyModule(),
-                                       minSizePolicy<Box>(100), Options);
-    faults::reset();
-    ASSERT_TRUE(S.ok()) << S.error().str();
-    EXPECT_FALSE(S->degradation().degraded());
-    for (const QueryDef &Q : S->module().queries()) {
-      const QueryArtifacts<Box> *A = S->artifacts(Q.Name);
-      const QueryArtifacts<Box> *B = Serial->artifacts(Q.Name);
-      ASSERT_NE(A, nullptr);
-      ASSERT_NE(B, nullptr);
-      EXPECT_EQ(A->Ind.TrueSet, B->Ind.TrueSet) << Q.Name;
-      EXPECT_EQ(A->Ind.FalseSet, B->Ind.FalseSet) << Q.Name;
-      EXPECT_EQ(A->SynthesizedSource, B->SynthesizedSource) << Q.Name;
-    }
-  }
-}
-
 // --- Full pipeline under faults: synthesize → export → reload ----------
 
 TEST(FaultSuite, EndToEndPipelineSurvivesEverySite) {

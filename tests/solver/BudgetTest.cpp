@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 using namespace anosy;
 
 TEST(SolverBudget, NodeCapRejectsChargeReachingLimit) {
@@ -97,4 +101,45 @@ TEST(SolverBudget, DeciderUnaffectedByGenerousDeadline) {
   EXPECT_EQ(R1.Holds, R2.Holds);
   EXPECT_EQ(R1.Exhausted, R2.Exhausted);
   EXPECT_EQ(NoDeadline.used(), WithDeadline.used());
+}
+
+TEST(SolverBudget, ConcurrentChargesSaturateAtLimit) {
+  // Charging stays thread-safe (the anosyd watchdog reaches budgets from
+  // its own thread). Under concurrent charges exactly MaxNodes - 1
+  // succeed, and the counter saturates at the cap instead of running past
+  // it.
+  SolverBudget Budget(1000);
+  std::atomic<uint64_t> Succeeded{0};
+  std::vector<std::thread> Threads;
+  for (int T = 0; T != 4; ++T)
+    Threads.emplace_back([&] {
+      while (Budget.charge())
+        Succeeded.fetch_add(1);
+      EXPECT_TRUE(Budget.exhausted());
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Succeeded.load(), Budget.MaxNodes - 1);
+  EXPECT_EQ(Budget.used(), Budget.MaxNodes);
+  EXPECT_TRUE(Budget.exhausted());
+  EXPECT_FALSE(Budget.charge());
+  EXPECT_EQ(Budget.used(), Budget.MaxNodes); // saturated, no further adds
+}
+
+TEST(SolverBudget, ChargeIsOverflowSafe) {
+  // A counter close to UINT64_MAX must saturate, not wrap back below
+  // MaxNodes (wrapping NodesUsed would turn an exhausted budget back into
+  // "not exhausted").
+  SolverBudget Budget(UINT64_MAX);
+  Budget.NodesUsed.store(UINT64_MAX - 5);
+  EXPECT_FALSE(Budget.charge(10)); // would overflow; clamps to UINT64_MAX
+  EXPECT_EQ(Budget.used(), UINT64_MAX);
+  EXPECT_TRUE(Budget.exhausted());
+  EXPECT_FALSE(Budget.charge(10));
+  EXPECT_EQ(Budget.used(), UINT64_MAX);
+
+  SolverBudget Small(100);
+  Small.NodesUsed.store(100);
+  EXPECT_FALSE(Small.charge(UINT64_MAX)); // exhausted: nothing is added
+  EXPECT_EQ(Small.used(), 100u);
 }
