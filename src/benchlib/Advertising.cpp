@@ -41,9 +41,7 @@ anosy::runAdvertisingExperiment(const AdvertisingConfig &Config) {
   Module M = buildAdvertisingModule(Config);
 
   KnowledgePolicy<PowerBox> Policy =
-      Config.PaperSizeSemantics
-          ? minSizeLinearEstimatePolicy(Config.PolicyMinSize)
-          : minSizePolicy<PowerBox>(Config.PolicyMinSize);
+      minSizePolicy<PowerBox>(Config.PolicyMinSize);
 
   SessionOptions Options;
   Options.PowersetSize = Config.PowersetSize;

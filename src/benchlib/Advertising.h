@@ -34,10 +34,6 @@ struct AdvertisingConfig {
   unsigned NumRestaurants = 50;
   unsigned NumInstances = 20; ///< experiment repetitions.
   int64_t PolicyMinSize = 100;
-  /// Use the paper's Σincludes − Σexcludes size semantics for the policy
-  /// (over-counts overlap; reproduces the original artifact's longer
-  /// Fig. 6 survival curves) instead of the exact cardinality.
-  bool PaperSizeSemantics = false;
   uint64_t Seed = 2022;
   int64_t SpaceLo = 0;   ///< secret/restaurant coordinate bounds
   int64_t SpaceHi = 400;

@@ -58,25 +58,6 @@ template <AbstractDomain D> KnowledgePolicy<D> permissivePolicy() {
                             std::nullopt};
 }
 
-/// The paper's §4.4 size semantics for powersets: Σ|includes| − Σ|excludes|.
-/// Overlapping include boxes are counted multiple times, so this policy is
-/// *more permissive* than minSizePolicy and not covered by the §3
-/// enforcement argument — it reproduces the original artifact's behaviour
-/// (see EXPERIMENTS.md on Fig. 6) but exact-size policies should be
-/// preferred in deployments.
-inline KnowledgePolicy<PowerBox> minSizeLinearEstimatePolicy(int64_t MinSize) {
-  // The linear estimate over-counts overlapping includes, so the estimate
-  // is >= the exact size and an exact-size static rejection stays sound:
-  // exact <= MinSize does not imply estimate <= MinSize, hence no MinSize
-  // threshold is published for the analyzer here.
-  return KnowledgePolicy<PowerBox>{
-      "linear-estimate size > " + std::to_string(MinSize),
-      [MinSize](const PowerBox &Dom) {
-        return Dom.sizeLinearEstimate() > MinSize;
-      },
-      std::nullopt};
-}
-
 /// Spot-checks monotonicity of \p Policy on the chain D1 ⊆ D2: if the
 /// policy accepts the smaller domain it must accept the larger one.
 /// Returns false when the pair witnesses non-monotonicity (such policies

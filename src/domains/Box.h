@@ -64,8 +64,17 @@ public:
   /// Convex hull (smallest box containing both).
   Box hull(const Box &O) const;
 
-  /// True when the boxes share at least one point.
-  bool intersects(const Box &O) const { return !intersect(O).isEmpty(); }
+  /// True when the boxes share at least one point: a per-dimension overlap
+  /// test that builds no box (same answer as !intersect(O).isEmpty()).
+  bool intersects(const Box &O) const {
+    assert(Dims.size() == O.Dims.size() && "arity mismatch");
+    if (Empty || O.Empty)
+      return false;
+    for (size_t I = 0, E = Dims.size(); I != E; ++I)
+      if (Dims[I].Hi < O.Dims[I].Lo || O.Dims[I].Hi < Dims[I].Lo)
+        return false;
+    return true;
+  }
 
   /// Number of secrets in the box (its volume); 0 for empty boxes.
   BigCount volume() const;

@@ -6,6 +6,19 @@
 
 using namespace anosy;
 
+namespace {
+
+/// True when no two boxes of \p Boxes share a point.
+bool pairwiseDisjoint(const std::vector<Box> &Boxes) {
+  for (size_t I = 0, E = Boxes.size(); I != E; ++I)
+    for (size_t J = I + 1; J != E; ++J)
+      if (Boxes[I].intersects(Boxes[J]))
+        return false;
+  return true;
+}
+
+} // namespace
+
 PowerBox::PowerBox(size_t Arity, std::vector<Box> InIncludes,
                    std::vector<Box> InExcludes)
     : Arity(Arity), Includes(std::move(InIncludes)),
@@ -82,19 +95,26 @@ bool PowerBox::subsetOfSyntactic(const PowerBox &O) const {
 PowerBox PowerBox::intersect(const PowerBox &O) const {
   assert(Arity == O.Arity && "arity mismatch");
   std::vector<Box> NewIncludes;
-  NewIncludes.reserve(Includes.size() * O.Includes.size());
   for (const Box &A : Includes)
-    for (const Box &B : O.Includes) {
-      Box AB = A.intersect(B);
-      if (!AB.isEmpty())
-        NewIncludes.push_back(std::move(AB));
-    }
+    for (const Box &B : O.Includes)
+      if (A.intersects(B))
+        NewIncludes.push_back(A.intersect(B));
+  // Meets of two disjoint families are pairwise disjoint (any two of them
+  // lie in disjoint boxes of one side), so none contains another and
+  // normalize() would return them unchanged.
+  if (Disjoint && O.Disjoint) {
+    PowerBox Meet(Arity);
+    Meet.Includes = std::move(NewIncludes);
+    return Meet;
+  }
   std::vector<Box> NewExcludes = Excludes;
   NewExcludes.insert(NewExcludes.end(), O.Excludes.begin(), O.Excludes.end());
   return PowerBox(Arity, std::move(NewIncludes), std::move(NewExcludes));
 }
 
 BigCount PowerBox::size() const {
+  if (Disjoint)
+    return sizeLinearEstimate(); // exact: no overlap, nothing excluded
   return differenceVolume(Includes, Excludes, Arity);
 }
 
@@ -132,6 +152,7 @@ void PowerBox::normalize() {
         Live.push_back(std::move(I));
     Includes = std::move(Live);
   }
+  Disjoint = Excludes.empty() && pairwiseDisjoint(Includes);
 }
 
 void PowerBox::pruneForUnder(size_t MaxBoxes) {

@@ -12,10 +12,21 @@
 /// out of them, which is exactly how ITERSYNTH (Algorithm 1) builds
 /// over-approximations.
 ///
+/// Every PowerBox records whether it is a *disjoint family*: pairwise
+/// disjoint includes and no excludes. The list constructor decides it after
+/// normalization, so synthesis, KB load and cache load establish it with no
+/// help from the caller. ITERSYNTH's under-approximations are disjoint
+/// families, ⊤ is one box, and the meet of two disjoint families is again
+/// one, so every posterior a tracker stores is disjoint. On such families
+/// the meet is the paper's pairwise intersection with nothing else to do,
+/// and the paper's Σ|includes| size is exact.
+///
 /// Deviations from the paper, both deliberate (see DESIGN.md §4):
-/// * `size()` is the exact cardinality of the represented set (via the
-///   BoxAlgebra cell decomposition); the paper's sum-of-includes minus
-///   sum-of-excludes shortcut is kept as `sizeLinearEstimate()`.
+/// * `size()` is the exact cardinality of the represented set. On a
+///   disjoint family that is Σ|includes|; otherwise (overlapping includes
+///   or excludes, as in over-approximations or hand-written KBs) it comes
+///   from the BoxAlgebra cell decomposition. The paper's sum-of-includes
+///   minus sum-of-excludes shortcut is kept as `sizeLinearEstimate()`.
 /// * `subsetOf` is exact; the paper's sound-but-incomplete syntactic
 ///   criterion is kept as `subsetOfSyntactic()`.
 ///
@@ -57,6 +68,9 @@ public:
   const std::vector<Box> &includes() const { return Includes; }
   const std::vector<Box> &excludes() const { return Excludes; }
 
+  /// True for a disjoint family: pairwise disjoint includes, no excludes.
+  bool disjoint() const { return Disjoint; }
+
   bool member(const Point &P) const;
 
   /// Exact subset test on the represented sets.
@@ -67,11 +81,14 @@ public:
   /// Sound when it answers true; may answer false for actual subsets.
   bool subsetOfSyntactic(const PowerBox &O) const;
 
-  /// Intersection: pairwise include intersections, unioned excludes (§4.4),
-  /// followed by normalization.
+  /// Intersection: the non-empty pairwise include intersections, in order
+  /// (§4.4). When both sides are disjoint families that list is the result
+  /// as it stands, itself a disjoint family. Otherwise the excludes are
+  /// unioned and the result normalized.
   PowerBox intersect(const PowerBox &O) const;
 
-  /// Exact cardinality of the represented set.
+  /// Exact cardinality of the represented set: Σ|includes| on a disjoint
+  /// family, the cell decomposition otherwise.
   BigCount size() const;
 
   /// The paper's Σ|includes| − Σ|excludes| estimate (exact only when the
@@ -80,8 +97,9 @@ public:
 
   bool isEmptySet() const { return size().isZero(); }
 
-  /// Drops empty/subsumed includes and excludes that miss every include.
-  /// Preserves the represented set exactly.
+  /// Drops empty/subsumed includes and excludes that miss every include,
+  /// then records whether the result is a disjoint family. Preserves the
+  /// represented set exactly.
   void normalize();
 
   /// Sound *shrinking* for under-approximation use: keeps at most
@@ -90,6 +108,7 @@ public:
   /// the pressure valve for the k1*k2 include growth of repeated
   /// intersections that §6.2 describes. Requires an exclude-free PowerBox
   /// (which is what under-approximations synthesized by ITERSYNTH are).
+  /// A disjoint family stays one.
   void pruneForUnder(size_t MaxBoxes);
 
   bool operator==(const PowerBox &O) const {
@@ -103,6 +122,7 @@ private:
   size_t Arity;
   std::vector<Box> Includes;
   std::vector<Box> Excludes;
+  bool Disjoint = true; ///< See disjoint(); the empty set is one.
 };
 
 } // namespace anosy

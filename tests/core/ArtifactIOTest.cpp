@@ -158,6 +158,33 @@ TEST(ArtifactIO, NegativeCoordinatesRoundTrip) {
   EXPECT_EQ(KB->Queries[0].Ind.TrueSet, Info.Ind.TrueSet);
 }
 
+TEST(ArtifactIO, OverlappingIncludesLoadWithExactSize) {
+  // Synthesized ind. sets have disjoint includes, but a knowledge base is
+  // untrusted input: a record whose includes overlap must still load, and
+  // its sizes must count the union, not the sum.
+  auto KB = parseKnowledgeBase<PowerBox>(
+      "anosy-knowledge-base v1 domain powerset\n"
+      "secret S { a: int[0, 10], b: int[0, 10] }\n"
+      "query q = a <= 5\n"
+      "true include [0, 3] [0, 3] ; [2, 5] [0, 3]\n"
+      "true exclude\n"
+      "false include [6, 10] [0, 10]\n"
+      "false exclude\n"
+      "end\n");
+  ASSERT_TRUE(KB.ok()) << KB.error().str();
+  ASSERT_EQ(KB->Queries.size(), 1u);
+  const IndSets<PowerBox> &Ind = KB->Queries[0].Ind;
+  ASSERT_EQ(Ind.TrueSet.includes().size(), 2u);
+  EXPECT_FALSE(Ind.TrueSet.disjoint());
+  EXPECT_EQ(Ind.TrueSet.size().toInt64(), 16 + 16 - 8);
+  EXPECT_TRUE(Ind.FalseSet.disjoint());
+  EXPECT_EQ(Ind.FalseSet.size().toInt64(), 5 * 11);
+  // The posterior a tracker computes from ⊤ keeps the exact union size.
+  auto [PostT, PostF] = KB->Queries[0].approx(PowerBox::top(KB->S));
+  EXPECT_EQ(PostT.size().toInt64(), 24);
+  EXPECT_EQ(PostF.size().toInt64(), 55);
+}
+
 TEST(ArtifactIO, RejectsDomainMismatch) {
   Module M = nearbyModule();
   std::string Text =

@@ -2,6 +2,8 @@
 
 #include "domains/Box.h"
 
+#include "support/Rng.h"
+
 #include <gtest/gtest.h>
 
 using namespace anosy;
@@ -78,6 +80,41 @@ TEST(Box, IntersectMatchesSetSemantics) {
   EXPECT_EQ(I, box(5, 10, 5, 10));
   EXPECT_TRUE(A.intersect(box(11, 12, 0, 10)).isEmpty());
   EXPECT_TRUE(A.intersect(Box::bottom(2)).isEmpty());
+}
+
+TEST(Box, IntersectsAgreesWithIntersectRandomized) {
+  // Small coordinates make touching, nested and disjoint pairs common; an
+  // inverted interval makes a box empty, and the full range checks the
+  // per-dimension test at the int64 rails.
+  Rng R(91);
+  auto RandInterval = [&R]() -> Interval {
+    switch (R.range(0, 9)) {
+    case 0:
+      return {INT64_MIN, INT64_MAX};
+    case 1:
+      return {R.range(1, 6), R.range(-1, 0)}; // empty
+    default: {
+      int64_t Lo = R.range(0, 6);
+      return {Lo, R.range(Lo, 7)};
+    }
+    }
+  };
+  for (int Trial = 0; Trial != 2000; ++Trial) {
+    size_t Arity = static_cast<size_t>(R.range(1, 3));
+    std::vector<Interval> DA, DB;
+    for (size_t D = 0; D != Arity; ++D) {
+      DA.push_back(RandInterval());
+      DB.push_back(RandInterval());
+    }
+    Box A(DA), B(DB);
+    bool Expected = !A.intersect(B).isEmpty();
+    EXPECT_EQ(A.intersects(B), Expected) << A.str() << " vs " << B.str();
+    EXPECT_EQ(B.intersects(A), Expected) << B.str() << " vs " << A.str();
+  }
+  EXPECT_FALSE(Box::bottom(2).intersects(Box::bottom(2)));
+  EXPECT_FALSE(box(0, 3, 0, 3).intersects(Box::bottom(2)));
+  EXPECT_TRUE(box(0, 3, 0, 3).intersects(box(3, 5, 3, 5))); // one corner
+  EXPECT_FALSE(box(0, 3, 0, 3).intersects(box(4, 5, 0, 3)));
 }
 
 TEST(Box, Hull) {

@@ -4,6 +4,8 @@
 
 #include "support/Rng.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 using namespace anosy;
@@ -108,29 +110,110 @@ TEST(PowerBox, IntersectMergesExcludes) {
 }
 
 TEST(PowerBox, IntersectionSemanticsRandomized) {
+  // Grid [0, 14]^2; every box below lies inside it.
   Rng R(77);
-  for (int Trial = 0; Trial != 30; ++Trial) {
-    auto RandPB = [&R]() {
-      std::vector<Box> Inc, Exc;
-      for (int I = 0, N = static_cast<int>(R.range(1, 3)); I != N; ++I) {
-        int64_t XL = R.range(0, 12), YL = R.range(0, 12);
-        Inc.push_back(Box({{XL, R.range(XL, 14)}, {YL, R.range(YL, 14)}}));
-      }
-      if (R.range(0, 1)) {
-        int64_t XL = R.range(0, 12), YL = R.range(0, 12);
-        Exc.push_back(Box({{XL, R.range(XL, 14)}, {YL, R.range(YL, 14)}}));
-      }
-      return PowerBox(2, std::move(Inc), std::move(Exc));
-    };
-    PowerBox A = RandPB(), B = RandPB();
+  auto RandBox = [&R](int64_t MaxWidth) {
+    int64_t XL = R.range(0, 12), YL = R.range(0, 12);
+    return Box({{XL, std::min<int64_t>(14, R.range(XL, XL + MaxWidth))},
+                {YL, std::min<int64_t>(14, R.range(YL, YL + MaxWidth))}});
+  };
+  auto InAny = [](const std::vector<Box> &Boxes, const Point &P) {
+    for (const Box &B : Boxes)
+      if (B.contains(P))
+        return true;
+    return false;
+  };
+  auto PointCount = [](const PowerBox &P) {
+    int64_t N = 0;
+    for (int64_t X = 0; X <= 14; ++X)
+      for (int64_t Y = 0; Y <= 14; ++Y)
+        N += P.member({X, Y});
+    return N;
+  };
+  // A family as raw lists: odd trials draw disjoint, exclude-free ones (a
+  // candidate that shares a grid point with an earlier include is
+  // dropped), even trials anything, overlaps and an exclude included.
+  struct Family {
+    std::vector<Box> Inc, Exc;
+  };
+  auto RandFamily = [&](bool Disjoint) {
+    Family F;
+    for (int I = 0, N = static_cast<int>(R.range(1, Disjoint ? 6 : 3));
+         I != N; ++I) {
+      Box C = RandBox(Disjoint ? 4 : 14);
+      bool Meets = false;
+      for (int64_t X = 0; X <= 14 && Disjoint && !Meets; ++X)
+        for (int64_t Y = 0; Y <= 14 && !Meets; ++Y)
+          Meets = C.contains({X, Y}) && InAny(F.Inc, {X, Y});
+      if (!Meets)
+        F.Inc.push_back(C);
+    }
+    if (!Disjoint && R.range(0, 1))
+      F.Exc.push_back(RandBox(14));
+    return F;
+  };
+  for (int Trial = 0; Trial != 60; ++Trial) {
+    const bool Disjoint = Trial % 2 == 1;
+    Family FA = RandFamily(Disjoint), FB = RandFamily(Disjoint);
+    PowerBox A(2, FA.Inc, FA.Exc), B(2, FB.Inc, FB.Exc);
     PowerBox I = A.intersect(B);
     for (int64_t X = 0; X <= 14; ++X)
       for (int64_t Y = 0; Y <= 14; ++Y) {
         Point P{X, Y};
-        EXPECT_EQ(I.member(P), A.member(P) && B.member(P))
+        bool Expected = InAny(FA.Inc, P) && !InAny(FA.Exc, P) &&
+                        InAny(FB.Inc, P) && !InAny(FB.Exc, P);
+        EXPECT_EQ(I.member(P), Expected)
             << "trial " << Trial << " at (" << X << "," << Y << ")";
       }
+    EXPECT_EQ(I.size(), differenceVolume(I.includes(), I.excludes(), 2))
+        << "trial " << Trial;
+    EXPECT_EQ(I.size().toInt64(), PointCount(I)) << "trial " << Trial;
+    if (!Disjoint)
+      continue;
+    // The fast path: both sides and the meet are disjoint families, the
+    // includes are kept as given, and the meet's includes are exactly the
+    // non-empty pairwise intersections in order.
+    ASSERT_TRUE(A.disjoint() && B.disjoint()) << "trial " << Trial;
+    EXPECT_EQ(A.includes(), FA.Inc) << "trial " << Trial;
+    EXPECT_TRUE(I.disjoint()) << "trial " << Trial;
+    EXPECT_TRUE(I.excludes().empty());
+    std::vector<Box> Pairwise;
+    for (const Box &BA : FA.Inc)
+      for (const Box &BB : FB.Inc)
+        if (!BA.intersect(BB).isEmpty())
+          Pairwise.push_back(BA.intersect(BB));
+    EXPECT_EQ(I.includes(), Pairwise) << "trial " << Trial;
   }
+}
+
+TEST(PowerBox, DisjointFlagTracksRepresentation) {
+  Schema S = userLoc();
+  EXPECT_TRUE(PowerBox::top(S).disjoint());
+  EXPECT_TRUE(PowerBox::bottom(S).disjoint());
+  PowerBox Halves(2, {box(0, 4, 0, 9), box(5, 9, 0, 9)}, {});
+  EXPECT_TRUE(Halves.disjoint());
+  // Overlapping includes or any exclude leave the exact path in charge.
+  PowerBox Overlap(2, {box(0, 3, 0, 3), box(2, 5, 0, 3)}, {});
+  EXPECT_FALSE(Overlap.disjoint());
+  PowerBox Holey(2, {box(0, 9, 0, 9)}, {box(3, 6, 3, 6)});
+  EXPECT_FALSE(Holey.disjoint());
+  // Normalization runs first: a subsumed include or an exclude that misses
+  // every include does not count against the family.
+  EXPECT_TRUE(PowerBox(2, {box(0, 9, 0, 9), box(2, 3, 2, 3)},
+                       {box(100, 110, 100, 110)})
+                  .disjoint());
+  // The meet of two disjoint families is one; a meet that keeps an
+  // exclude or an overlap is not, and is still sized exactly.
+  EXPECT_TRUE(Halves.intersect(PowerBox::top(S)).disjoint());
+  EXPECT_FALSE(Halves.intersect(Holey).disjoint());
+  PowerBox Meet = Overlap.intersect(Halves);
+  EXPECT_FALSE(Meet.disjoint());
+  EXPECT_EQ(Meet.size().toInt64(), 24);
+  // Pruning keeps a subset, which stays disjoint.
+  PowerBox Pruned = Halves;
+  Pruned.pruneForUnder(1);
+  EXPECT_TRUE(Pruned.disjoint());
+  EXPECT_EQ(Pruned.size().toInt64(), 50);
 }
 
 TEST(PowerBox, PruneForUnderOnlyShrinks) {
