@@ -71,7 +71,6 @@ DegradationSample measure(const BenchmarkProblem &P, uint64_t DeadlineMs,
   Opt.DeadlineMs = DeadlineMs;
   Opt.MaxSessionNodes = NodeCap;
   Opt.Retry.MaxAttempts = (DeadlineMs == 0 && NodeCap == 0) ? 1 : 2;
-  Opt.GracefulDegradation = true;
 
   Stopwatch W;
   auto S = AnosySession<Box>::create(P.M, permissivePolicy<Box>(), Opt);

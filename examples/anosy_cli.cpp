@@ -8,7 +8,7 @@
 //             [--emit-smtlib] [--no-verify] [--export <kb-file>]
 //             [--timeout-ms N] [--max-session-nodes N]
 //             [--retry N] [--fault-inject SPEC]
-//             [--min-size N] [--static-admission] [--analysis-seeds]
+//             [--min-size N] [--static-admission]
 //             [--trace-out FILE] [--metrics-out FILE] [--probe-monitor]
 //   anosy_cli lint [files.anosy...] [--json] [--min-size N]
 //             [--relational off|auto|on]
@@ -38,9 +38,8 @@
 // status is 1 when any error-severity diagnostic fires. The policy
 // threshold comes from --min-size or an `# anosy-lint: min-size=N`
 // pragma in the module. In the pipeline, --min-size N enforces a
-// minimum-size policy, --static-admission rejects policy-unsatisfiable
-// queries before synthesis (zero solver nodes), and --analysis-seeds
-// seeds synthesis searches with the analyzer's posteriors.
+// minimum-size policy, and --static-admission rejects policy-unsatisfiable
+// queries before synthesis (zero solver nodes).
 //
 // Observability (DESIGN.md §8): --trace-out FILE records the run's phase
 // spans (parse → lint → synthesis → verify → monitor → KB write) as
@@ -99,9 +98,8 @@ struct CliOptions {
   std::string FaultSpec;
   /// Minimum-size policy threshold; -1 keeps the permissive policy.
   int64_t MinSize = -1;
-  /// Static admission / search seeding (DESIGN.md §7).
+  /// Static admission (DESIGN.md §7).
   bool StaticAdmission = false;
-  bool AnalysisSeeds = false;
   /// Observability outputs (DESIGN.md §8); either one enables the obs
   /// runtime switch and forces the session path.
   std::string TraceOut;
@@ -116,8 +114,8 @@ struct CliOptions {
 
   bool needsSession() const {
     return degradable() || !ExportPath.empty() || StaticAdmission ||
-           AnalysisSeeds || MinSize >= 0 || !TraceOut.empty() ||
-           !MetricsOut.empty() || ProbeMonitor;
+           MinSize >= 0 || !TraceOut.empty() || !MetricsOut.empty() ||
+           ProbeMonitor;
   }
 };
 
@@ -129,7 +127,7 @@ int usage(const char *Argv0) {
       "          [--emit-smtlib] [--no-verify] [--export <kb-file>]\n"
       "          [--timeout-ms N] [--max-session-nodes N] [--retry N]\n"
       "          [--fault-inject seed=S,<site>@<one-in>[x<max>],...]\n"
-      "          [--min-size N] [--static-admission] [--analysis-seeds]\n"
+      "          [--min-size N] [--static-admission]\n"
       "          [--trace-out FILE]   (Chrome trace_event JSON; implies\n"
       "                              --probe-monitor)\n"
       "          [--metrics-out FILE] (Prometheus text exposition)\n"
@@ -292,7 +290,6 @@ int sessionRun(const Module &M, const CliOptions &Opt,
   SO.DeadlineMs = Opt.TimeoutMs;
   SO.Retry.MaxAttempts = Opt.Retry;
   SO.StaticAdmission = Opt.StaticAdmission;
-  SO.UseAnalysisSeeds = Opt.AnalysisSeeds;
 
   KnowledgePolicy<D> Policy = Opt.MinSize >= 0
                                   ? minSizePolicy<D>(Opt.MinSize)
@@ -303,8 +300,7 @@ int sessionRun(const Module &M, const CliOptions &Opt,
     return 1;
   }
 
-  if ((SO.StaticAdmission || SO.UseAnalysisSeeds) &&
-      !S->analysis().Diagnostics.empty()) {
+  if (SO.StaticAdmission && !S->analysis().Diagnostics.empty()) {
     std::printf("--- static analysis ---\n");
     for (const LintDiagnostic &Diag : S->analysis().Diagnostics)
       std::printf("%s\n", Diag.str().c_str());
@@ -504,8 +500,6 @@ int main(int Argc, char **Argv) {
       Opt.ProbeMonitor = true;
     } else if (Arg == "--static-admission") {
       Opt.StaticAdmission = true;
-    } else if (Arg == "--analysis-seeds") {
-      Opt.AnalysisSeeds = true;
     } else if (Arg == "--emit-smtlib") {
       Opt.EmitSmtLib = true;
     } else if (Arg == "--no-verify") {
@@ -583,9 +577,9 @@ int main(int Argc, char **Argv) {
     if (Opt.Kind != ApproxKind::Under) {
       std::fprintf(stderr, "--timeout-ms/--max-session-nodes/--retry/"
                            "--export/--min-size/--static-admission/"
-                           "--analysis-seeds/--trace-out/--metrics-out/"
-                           "--probe-monitor drive enforcement (under) "
-                           "artifacts; rerun with --kind under\n");
+                           "--trace-out/--metrics-out/--probe-monitor "
+                           "drive enforcement (under) artifacts; rerun "
+                           "with --kind under\n");
       return 1;
     }
     int RC = Opt.Powerset ? sessionRun<PowerBox>(*M, Opt, SOpt)

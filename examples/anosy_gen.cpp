@@ -122,6 +122,13 @@ int64_t parseInt64Flag(const char *Flag, const char *Value) {
   return *V;
 }
 
+double parseDoubleFlag(const char *Flag, const char *Value) {
+  auto V = parseDouble(Value);
+  if (!V)
+    badFlagValue(Flag, Value);
+  return *V;
+}
+
 /// "permissive", "min-size:K", or "min-entropy:B".
 TracePolicy parsePolicyFlag(const char *Value) {
   std::string V = Value;
@@ -536,7 +543,7 @@ int runSoak(int Argc, char **Argv) {
     } else if (Arg == "--dump-dir" && (V = Next())) {
       DumpDir = V;
     } else if (Arg == "--sps" && (V = Next())) {
-      Sps = std::atof(V);
+      Sps = parseDoubleFlag("--sps", V);
       DaemonMode = true;
     } else if (Arg == "--tenants" && (V = Next())) {
       TenantCount = parseUnsignedFlag("--tenants", V);
@@ -548,7 +555,7 @@ int runSoak(int Argc, char **Argv) {
     } else if (Arg == "--deadline-ms" && (V = Next())) {
       DeadlineMs = parseUint64Flag("--deadline-ms", V);
     } else if (Arg == "--burst" && (V = Next())) {
-      Burst = std::atof(V);
+      Burst = parseDoubleFlag("--burst", V);
       DaemonMode = true;
     } else {
       return usage();

@@ -7,7 +7,6 @@
 //   anosyd [--data-dir DIR] [--cache-dir DIR] [--queue-capacity N]
 //          [--workers N] [--deadline-ms N] [--max-inflight N]
 //          [--max-kb-bytes N] [--metrics-out FILE] [--fault-inject SPEC]
-//          [--relational off|auto|on]
 //       Serve mode: a line protocol on stdin, one JSON response per line
 //       on stdout:
 //         register <tenant> <module-path> [min-size]
@@ -68,7 +67,7 @@ int usage() {
       "              [--queue-capacity N] [--workers N]\n"
       "              [--deadline-ms N] [--max-inflight N]\n"
       "              [--max-kb-bytes N] [--metrics-out FILE]\n"
-      "              [--fault-inject SPEC] [--relational off|auto|on]\n"
+      "              [--fault-inject SPEC]\n"
       "   or: anosyd --soak [--tenants N] [--sessions N] [--steps N]\n"
       "              [--sps X] [--burst X] [--seed N] (plus serve flags)\n"
       "serve-mode stdin protocol:\n"
@@ -235,6 +234,15 @@ int main(int Argc, char **Argv) {
       }
       return *N;
     };
+    auto NextDouble = [&](const char *Flag) -> double {
+      const char *V = Next();
+      auto X = V != nullptr ? parseDouble(V) : std::nullopt;
+      if (!X) {
+        std::fprintf(stderr, "error: invalid value for %s\n", Flag);
+        std::exit(2);
+      }
+      return *X;
+    };
     if (Arg == "--soak")
       SoakMode = true;
     else if (Arg == "--data-dir" && I + 1 < Argc)
@@ -255,16 +263,6 @@ int main(int Argc, char **Argv) {
       MetricsOut = Argv[++I];
     else if (Arg == "--fault-inject" && I + 1 < Argc)
       FaultSpec = Argv[++I];
-    else if (Arg == "--relational") {
-      const char *V = Next();
-      auto T = V != nullptr ? parseRelationalTier(V) : std::nullopt;
-      if (!T) {
-        std::fprintf(stderr,
-                     "error: invalid value for --relational (off|auto|on)\n");
-        return 2;
-      }
-      DOpt.Session.LintRelational = *T;
-    }
     else if (Arg == "--tenants")
       LOpt.Tenants = static_cast<unsigned>(NextU64("--tenants"));
     else if (Arg == "--sessions")
@@ -273,10 +271,10 @@ int main(int Argc, char **Argv) {
       LOpt.StepsPerSession = static_cast<unsigned>(NextU64("--steps"));
     else if (Arg == "--seed")
       LOpt.Seed = NextU64("--seed");
-    else if (Arg == "--sps" && I + 1 < Argc)
-      LOpt.SessionsPerSecond = std::atof(Argv[++I]);
-    else if (Arg == "--burst" && I + 1 < Argc)
-      LOpt.BurstFactor = std::atof(Argv[++I]);
+    else if (Arg == "--sps")
+      LOpt.SessionsPerSecond = NextDouble("--sps");
+    else if (Arg == "--burst")
+      LOpt.BurstFactor = NextDouble("--burst");
     else
       return usage();
   }

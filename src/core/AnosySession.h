@@ -27,6 +27,8 @@
 /// (a degraded query downgrades with maximally conservative posteriors).
 /// Refuted obligations — actual counterexamples — remain hard errors at
 /// every rung. The per-query outcome is recorded in degradation().
+/// Queries and classifiers climb the same ladder (runLadder, in
+/// AnosySession.cpp); only their passes and last rungs differ.
 ///
 /// Registration is serial and deterministic: declarations build and
 /// install in declaration order, and without a wall-clock deadline the
@@ -40,7 +42,6 @@
 #define ANOSY_CORE_ANOSYSESSION_H
 
 #include "analysis/LeakageAnalyzer.h"
-#include "analysis/SolverSeeds.h"
 #include "cache/ArtifactCache.h"
 #include "compile/CompiledEval.h"
 #include "core/ArtifactIO.h"
@@ -52,7 +53,7 @@
 #include "synth/Sketch.h"
 #include "verify/RefinementChecker.h"
 
-#include <cmath>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -103,10 +104,6 @@ struct SessionOptions {
   uint64_t DeadlineMs = 0;
   /// Retry-then-degrade policy (see RetryPolicy).
   RetryPolicy Retry;
-  /// Degrade instead of failing when budgets run out. Disabled, the
-  /// session keeps the legacy strict contract: exhaustion (after
-  /// retries) fails creation with BudgetExhausted.
-  bool GracefulDegradation = true;
   /// Static admission analysis (DESIGN.md §7): run the leakage analyzer
   /// over the module before synthesis. Queries whose posterior
   /// over-approximations already violate a minimum-size policy are
@@ -116,18 +113,6 @@ struct SessionOptions {
   /// existing sessions are byte-identical; the admission decisions only
   /// apply for policies that publish a MinSize threshold.
   bool StaticAdmission = false;
-  /// Seed each query's synthesis search with the analyzer's posterior
-  /// over-approximations (SynthOptions::TrueRegionSeed/FalseRegionSeed).
-  /// Sound — every valid artifact lies inside its branch's region — and
-  /// typically shrinks the branch-and-bound trees (see
-  /// bench/lint_admission). Off by default: unseeded runs stay
-  /// bit-identical to previous releases.
-  bool UseAnalysisSeeds = false;
-  /// Escalation policy of the admission analyzer's relational (octagon)
-  /// tier (LintOptions::Relational). Auto escalates only queries whose
-  /// NNF couples ≥ 2 secret fields in one atom; Off reproduces the
-  /// box-only admission exactly.
-  RelationalTier LintRelational = RelationalTier::Auto;
   /// Cross-process artifact cache (DESIGN.md §12); borrowed, may be
   /// shared by many sessions, threads, and processes over one directory.
   /// When set, registration probes the cache by canonical query identity
@@ -150,13 +135,75 @@ struct SessionOptions {
   SolverBudget *WatchdogBudget = nullptr;
 };
 
+// The domain-independent half of registration (AnosySession.cpp).
+
+/// The per-call node budget for strict attempt \p Attempt (0-based):
+/// \p Base grown ×4 per retry, saturating at UINT64_MAX.
+uint64_t attemptBudget(uint64_t Base, unsigned Attempt);
+
+/// The session-wide budget every per-call budget chains to; null when
+/// \p O asks for no node cap, deadline or watchdog, so capless sessions
+/// skip the parent check in charge().
+std::unique_ptr<SolverBudget> makeSessionBudget(const SessionOptions &O);
+
+/// The certificates of the ⊥ fallback: both ind. sets are empty, so the
+/// Fig. 4 under obligations hold vacuously — no solver involved, and
+/// re-checkable offline by anyone who distrusts the label.
+CertificateBundle bottomFallbackBundle();
+
+/// The certificates of a statically-decided constant answer: the
+/// analyzer proved one branch empty over the prior, so the exact ind.
+/// sets are (⊤, ⊥) or (⊥, ⊤). The non-trivial obligation rests on the
+/// interval refiner's soundness (DESIGN.md §7), not a solver run.
+CertificateBundle constantAnswerBundle(bool Value);
+
+/// Meets cache-derived region seeds into \p SOpt, intersecting any seed
+/// the caller already set. Both are sound branch over-approximations, so
+/// their intersection is too (and tighter than either).
+void applyCacheSeeds(const CacheSeeds &Seeds, SynthOptions &SOpt);
+
+/// What one pass of the ladder (synthesize, then verify) reported. No
+/// error means verified. BudgetExhausted degrades, with Undecided set
+/// when verification, not synthesis, ran out; any other error is hard.
+struct PassOutcome {
+  std::optional<Error> Err;
+  bool Undecided = false;
+};
+
+/// What runLadder decided: the passes it ran, and the degradation record
+/// when no strict pass verified.
+struct LadderOutcome {
+  unsigned Passes = 0;
+  std::optional<QueryDegradation> Degradation;
+};
+
+/// The retry → partial → ⊥ ladder for one query or classifier \p Name.
+/// Runs \p Strict at attemptBudget(O.Synth.MaxSolverNodes, i) for up to
+/// O.Retry.MaxAttempts attempts, stopping early once \p SessionBudget is
+/// spent (a retry against it cannot succeed). If none verified,
+/// \p Partial (when set) runs once more at the last attempt's budget;
+/// the caller falls back to ⊥ when there is no partial rung or it kept
+/// nothing. A hard error from a strict pass, or a refutation on the
+/// partial rung, ends the ladder.
+Result<LadderOutcome>
+runLadder(const std::string &Name, const SessionOptions &O,
+          const SolverBudget *SessionBudget,
+          const std::function<PassOutcome(uint64_t)> &Strict,
+          const std::function<PassOutcome(uint64_t)> &Partial);
+
+/// Adds one registered query or classifier's cost, attempts and
+/// degradation record to the session's bookkeeping.
+void accountRegistration(SessionStats &Stats, DegradationReport &Report,
+                         const SynthStats &Cost, unsigned Attempts,
+                         const std::optional<QueryDegradation> &Degradation);
+
 template <AbstractDomain D> class AnosySession {
 public:
   /// Synthesizes and verifies ind. sets for every query in \p M, then
   /// builds the knowledge tracker. Fails with the first offending
-  /// declaration's error if any step rejects. Under
-  /// GracefulDegradation, budget/deadline exhaustion degrades per query
-  /// instead of failing — inspect degradation() afterwards.
+  /// declaration's error if any step rejects. Budget/deadline exhaustion
+  /// degrades per query instead of failing — inspect degradation()
+  /// afterwards.
   static Result<AnosySession> create(Module M, KnowledgePolicy<D> Policy,
                                      SessionOptions Options = {}) {
     ANOSY_OBS_SPAN(Span, "anosy.session.create");
@@ -172,12 +219,9 @@ public:
         return Art.error();
       Session.installQuery(Q, Art.takeValue());
     }
-    for (const ClassifierDef &C : Classifiers) {
-      auto Info = Session.buildClassifierInfo(C);
-      if (!Info)
-        return Info.error();
-      Session.installClassifier(Info.takeValue());
-    }
+    for (const ClassifierDef &C : Classifiers)
+      if (auto E = Session.registerClassifier(C))
+        return *E;
     publishSessionStats(Session.Stats);
     return Session;
   }
@@ -209,64 +253,47 @@ public:
     AnosySession Session(Module(Rec->S, std::move(Defs)), std::move(Policy),
                          Options);
 
-    for (QueryInfo<D> &Info : Rec->Intact) {
-      QueryDef Def{Info.Name, Info.QueryExpr};
-      std::string Reverify;
-      if (Session.Options.Verify) {
-        uint64_t Nodes = 0;
-        CertificateBundle B = Session.verifyArtifact(
-            Info.QueryExpr, Info.Ind, Session.Options.Synth.MaxSolverNodes,
-            true, Nodes);
-        Session.Stats.SolverNodes += Nodes;
-        if (const Certificate *Refuted = B.firstRefuted())
-          Reverify = "re-verification refuted: " + Refuted->Obligation;
-        else if (!B.valid())
-          Reverify = "re-verification undecided";
-        if (Reverify.empty()) {
-          QueryArtifacts<D> Art;
-          Art.Ind = std::move(Info.Ind);
-          Art.Certificates = std::move(B);
-          IndSetSketch Sketch(Def.Name, Session.M.schema(),
-                              ApproxKind::Under);
-          Art.SynthesizedSource =
-              Sketch.renderFilled(Art.Ind.TrueSet, Art.Ind.FalseSet);
-          Session.installQuery(Def, std::move(Art));
-          continue;
-        }
-      } else {
-        QueryArtifacts<D> Art;
-        Art.Ind = std::move(Info.Ind);
-        Session.installQuery(Def, std::move(Art));
-        continue;
-      }
-      // Loaded artifact did not check out: resynthesize this query.
-      auto Art = Session.buildQueryArtifacts(Def);
-      if (!Art)
-        return Art.error();
-      if (!Art->Degradation) {
-        Art->Degradation = QueryDegradation{
-            Def.Name, DegradationReason::LoadedArtifactInvalid,
-            Art->Attempts, false, Reverify + "; resynthesized"};
-      } else {
-        Art->Degradation->Reason = DegradationReason::LoadedArtifactInvalid;
-        Art->Degradation->Detail = Reverify + "; " + Art->Degradation->Detail;
-      }
-      Session.installQuery(Def, Art.takeValue());
-    }
-
-    for (const QueryDef &Q : Rec->Damaged) {
+    // A record that cannot be installed as loaded goes through the
+    // normal ladder, and Cause starts its degradation detail.
+    auto Resynthesize = [&](const QueryDef &Q, DegradationReason Reason,
+                            const std::string &Cause) -> std::optional<Error> {
       auto Art = Session.buildQueryArtifacts(Q);
       if (!Art)
         return Art.error();
-      if (!Art->Degradation) {
-        Art->Degradation = QueryDegradation{
-            Q.Name, DegradationReason::KnowledgeBaseCorrupt, Art->Attempts,
-            false, "record failed integrity check; resynthesized"};
-      } else {
-        Art->Degradation->Reason = DegradationReason::KnowledgeBaseCorrupt;
-      }
+      if (!Art->Degradation)
+        Art->Degradation = QueryDegradation{Q.Name, Reason, Art->Attempts,
+                                            false, Cause + "; resynthesized"};
+      else
+        Art->Degradation->Detail = Cause + "; " + Art->Degradation->Detail;
+      Art->Degradation->Reason = Reason;
       Session.installQuery(Q, Art.takeValue());
+      return std::nullopt;
+    };
+
+    for (QueryInfo<D> &Info : Rec->Intact) {
+      QueryDef Def{Info.Name, Info.QueryExpr};
+      QueryArtifacts<D> Art;
+      if (Session.Options.Verify) {
+        Art.Certificates = Session.verifyArtifact(
+            Def.Body, Info.Ind, Session.Options.Synth.MaxSolverNodes, true,
+            Session.Stats.SolverNodes);
+        if (!Art.Certificates.valid()) {
+          const Certificate *Refuted = Art.Certificates.firstRefuted();
+          if (auto E = Resynthesize(
+                  Def, DegradationReason::LoadedArtifactInvalid,
+                  Refuted ? "re-verification refuted: " + Refuted->Obligation
+                          : "re-verification undecided"))
+            return *E;
+          continue;
+        }
+      }
+      Art.Ind = std::move(Info.Ind);
+      Session.installQuery(Def, std::move(Art));
     }
+    for (const QueryDef &Q : Rec->Damaged)
+      if (auto E = Resynthesize(Q, DegradationReason::KnowledgeBaseCorrupt,
+                                "record failed integrity check"))
+        return *E;
 
     for (const std::string &Name : Rec->Lost)
       Session.Report.Queries.push_back(
@@ -301,7 +328,7 @@ public:
   const DegradationReport &degradation() const { return Report; }
 
   /// The static leakage analysis of the module, populated when
-  /// StaticAdmission or UseAnalysisSeeds is enabled (empty otherwise).
+  /// StaticAdmission is enabled (empty otherwise).
   const ModuleAnalysis &analysis() const { return Analysis; }
 
   /// Cumulative creation cost (nodes, seconds, attempts).
@@ -321,85 +348,38 @@ public:
   }
 
 private:
-  /// A classifier build plus its bookkeeping (mirrors QueryArtifacts).
-  struct ClassifierBuild {
-    ClassifierInfo<D> Info;
-    SynthStats Stats;
-    unsigned Attempts = 1;
-    std::optional<QueryDegradation> Degradation;
-  };
-
   AnosySession(Module M, KnowledgePolicy<D> Policy, SessionOptions InOptions)
       : M(std::move(M)), Options(InOptions),
+        SessionBudget(makeSessionBudget(Options)),
         Tracker(std::make_unique<KnowledgeTracker<D>>(
             this->M.schema(), std::move(Policy), Options.MaxKnowledgeBoxes)) {
-    // The session-wide budget every per-call budget chains to. Created
-    // only when a cap is requested: the parent check in charge() is not
-    // free, and capless sessions must behave exactly as before.
-    if (Options.MaxSessionNodes != 0 || Options.DeadlineMs != 0 ||
-        Options.WatchdogBudget != nullptr) {
-      SessionBudget = std::make_unique<SolverBudget>(
-          Options.MaxSessionNodes != 0 ? Options.MaxSessionNodes
-                                       : UINT64_MAX);
-      if (Options.DeadlineMs != 0)
-        SessionBudget->setDeadlineAfterMs(Options.DeadlineMs);
-      SessionBudget->Parent = Options.WatchdogBudget;
+    if (SessionBudget != nullptr)
       Options.Synth.SessionBudget = SessionBudget.get();
-    }
     // Static pre-synthesis analysis (DESIGN.md §7): pure interval
     // arithmetic over the prior — no solver, so it neither consumes nor
     // needs the session budget. The policy's published threshold (when
     // any) drives the admission verdicts.
-    if (Options.StaticAdmission || Options.UseAnalysisSeeds) {
+    if (Options.StaticAdmission) {
       LintOptions LOpt;
       LOpt.MinSize = Tracker->policy().MinSize.value_or(-1);
-      LOpt.Relational = Options.LintRelational;
       Analysis = analyzeModule(this->M, LOpt);
     }
   }
 
-  /// True once the session-wide cap or deadline is spent: further strict
-  /// retries cannot succeed, only degrade.
-  bool sessionSpent() const {
-    return SessionBudget != nullptr && SessionBudget->exhausted();
+  /// Steps II+III once with \p Sy, a query or classifier synthesizer.
+  template <typename SynthesizerT>
+  auto synthesize(const SynthesizerT &Sy, SynthStats &Pass) const {
+    if constexpr (std::is_same_v<D, Box>)
+      return Sy.synthesizeInterval(ApproxKind::Under, &Pass);
+    else
+      return Sy.synthesizePowerset(ApproxKind::Under, Options.PowersetSize,
+                                   &Pass);
   }
 
-  /// The per-call node budget for strict attempt \p Attempt (0-based),
-  /// grown by Retry.BudgetGrowth each time, saturating at UINT64_MAX.
-  uint64_t attemptBudget(unsigned Attempt) const {
-    double Grown = static_cast<double>(Options.Synth.MaxSolverNodes) *
-                   std::pow(std::max(1.0, Options.Retry.BudgetGrowth),
-                            static_cast<double>(Attempt));
-    if (Grown >= 9.0e18)
-      return UINT64_MAX;
-    return static_cast<uint64_t>(Grown);
-  }
-
-  /// Steps II+III once, into \p Ind / \p Stats. No session mutation.
-  std::optional<Error> synthPass(const ExprRef &Body,
-                                 const SynthOptions &SOpt, IndSets<D> &Ind,
-                                 SynthStats &Stats) const {
-    auto Synth = Synthesizer::create(M.schema(), Body, SOpt);
-    if (!Synth)
-      return Synth.error();
-    if constexpr (std::is_same_v<D, Box>) {
-      auto Sets = Synth->synthesizeInterval(ApproxKind::Under, &Stats);
-      if (!Sets)
-        return Sets.error();
-      Ind = Sets.takeValue();
-    } else {
-      auto Sets = Synth->synthesizePowerset(ApproxKind::Under,
-                                            Options.PowersetSize, &Stats);
-      if (!Sets)
-        return Sets.error();
-      Ind = Sets.takeValue();
-    }
-    return std::nullopt;
-  }
-
-  /// Step IV. \p Chained checks against the session budget/deadline
-  /// (normal path); detached checks get a fresh budget — used to certify
-  /// *degraded* artifacts, whose verification must not be starved by the
+  /// Step IV, adding the solver nodes it spends to \p NodesOut.
+  /// \p Chained checks against the session budget/deadline (normal path);
+  /// detached checks get a fresh budget — used to certify *degraded*
+  /// artifacts, whose verification must not be starved by the
   /// already-spent session budget (cost stays bounded by \p MaxNodes).
   /// \p MaxNodes is the *attempt's* budget, so retries grow verification
   /// headroom in lockstep with synthesis.
@@ -414,65 +394,12 @@ private:
     return B;
   }
 
-  /// Meets cache-derived region seeds into \p SOpt. Both the analyzer's
-  /// and the cache's regions are sound branch over-approximations, so
-  /// their intersection is too (and tighter than either).
-  static void applyCacheSeeds(const CacheSeeds &Seeds, SynthOptions &SOpt) {
-    SOpt.TrueRegionSeed = SOpt.TrueRegionSeed
-                              ? SOpt.TrueRegionSeed->intersect(Seeds.TrueRegion)
-                              : Seeds.TrueRegion;
-    SOpt.FalseRegionSeed =
-        SOpt.FalseRegionSeed
-            ? SOpt.FalseRegionSeed->intersect(Seeds.FalseRegion)
-            : Seeds.FalseRegion;
-  }
-
-  /// The certificates of the ⊥ fallback: both ind. sets are empty, so the
-  /// Fig. 4 under obligations hold vacuously — no solver involved, and
-  /// re-checkable offline by anyone who distrusts the label.
-  static CertificateBundle bottomFallbackBundle() {
-    CertificateBundle B;
-    Certificate T;
-    T.Obligation = "forall x. x in dT => query x   "
-                   "(bottom fallback: dT = empty, vacuously valid)";
-    T.Valid = true;
-    Certificate F;
-    F.Obligation = "forall x. x in dF => not (query x)   "
-                   "(bottom fallback: dF = empty, vacuously valid)";
-    F.Valid = true;
-    B.Parts.push_back(std::move(T));
-    B.Parts.push_back(std::move(F));
-    return B;
-  }
-
-  /// The certificates of a statically-decided constant answer: the
-  /// analyzer proved one branch empty over the prior, so the exact ind.
-  /// sets are (⊤, ⊥) or (⊥, ⊤). The non-trivial obligation rests on the
-  /// interval refiner's soundness (DESIGN.md §7), not a solver run.
-  static CertificateBundle constantAnswerBundle(bool Value) {
-    CertificateBundle B;
-    Certificate T;
-    T.Obligation =
-        std::string("forall x. x in dT => query x   (static analysis: ") +
-        (Value ? "every secret answers True over the prior)"
-               : "dT = empty, vacuously valid)");
-    T.Valid = true;
-    Certificate F;
-    F.Obligation =
-        std::string("forall x. x in dF => not (query x)   (static analysis: ") +
-        (Value ? "dF = empty, vacuously valid)"
-               : "every secret answers False over the prior)");
-    F.Valid = true;
-    B.Parts.push_back(std::move(T));
-    B.Parts.push_back(std::move(F));
-    return B;
-  }
-
   /// Steps I–IV for one query with the full degradation ladder. No
   /// session mutation; installQuery applies the result.
   Result<QueryArtifacts<D>> buildQueryArtifacts(const QueryDef &Q) const {
     const Schema &S = M.schema();
-    const unsigned MaxAttempts = std::max(1u, Options.Retry.MaxAttempts);
+    const IndSets<D> Bottom{DomainTraits<D>::bottom(S),
+                            DomainTraits<D>::bottom(S)};
     Stopwatch BuildTimer;
     ANOSY_OBS_SPAN(Span, "anosy.query.build");
     ANOSY_OBS_SPAN_ARG(Span, "query", Q.Name);
@@ -487,8 +414,7 @@ private:
     if (QA != nullptr && Options.StaticAdmission) {
       if (QA->RejectStatically) {
         QueryArtifacts<D> Art;
-        Art.Ind = IndSets<D>{DomainTraits<D>::bottom(S),
-                             DomainTraits<D>::bottom(S)};
+        Art.Ind = Bottom;
         Art.Certificates = bottomFallbackBundle();
         Art.Attempts = 0;
         Art.Degradation = QueryDegradation{
@@ -497,9 +423,6 @@ private:
                 QA->TruePosterior.volume().str() + ", |F| <= " +
                 QA->FalsePosterior.volume().str() +
                 " cannot satisfy the policy; rejected before synthesis"};
-        IndSetSketch Sketch(Q.Name, S, ApproxKind::Under);
-        Art.SynthesizedSource =
-            Sketch.renderFilled(Art.Ind.TrueSet, Art.Ind.FalseSet);
         ANOSY_OBS_SPAN_ARG(Span, "outcome", "statically-rejected");
         ANOSY_OBS_COUNT("anosy_queries_statically_rejected_total",
                         "Queries rejected by static admission", 1);
@@ -515,9 +438,6 @@ private:
                                DomainTraits<D>::top(S)};
         Art.Certificates = constantAnswerBundle(Value);
         Art.Attempts = 0;
-        IndSetSketch Sketch(Q.Name, S, ApproxKind::Under);
-        Art.SynthesizedSource =
-            Sketch.renderFilled(Art.Ind.TrueSet, Art.Ind.FalseSet);
         ANOSY_OBS_SPAN_ARG(Span, "outcome", "constant-answer");
         ANOSY_OBS_COUNT("anosy_queries_constant_answer_total",
                         "Queries decided statically as constant-answer", 1);
@@ -537,25 +457,15 @@ private:
           S, Q.Body, DomainTraits<D>::Name,
           std::is_same_v<D, PowerBox> ? Options.PowersetSize : 0u);
       if (auto Cached = Options.Cache->template lookup<D>(*CacheKey)) {
-        CertificateBundle B;
-        uint64_t VerifyNodes = 0;
-        bool Usable = true;
-        if (Options.Verify) {
-          B = verifyArtifact(Q.Body, *Cached, Options.Synth.MaxSolverNodes,
-                             /*Chained=*/false, VerifyNodes);
-          Usable = B.valid();
-        }
-        if (Usable) {
-          QueryArtifacts<D> Hit;
+        QueryArtifacts<D> Hit;
+        if (Options.Verify)
+          Hit.Certificates =
+              verifyArtifact(Q.Body, *Cached, Options.Synth.MaxSolverNodes,
+                             /*Chained=*/false, Hit.CacheVerifyNodes);
+        if (!Options.Verify || Hit.Certificates.valid()) {
           Hit.Ind = std::move(*Cached);
-          if (Options.Verify)
-            Hit.Certificates = std::move(B);
           Hit.Attempts = 0;
           Hit.FromCache = true;
-          Hit.CacheVerifyNodes = VerifyNodes;
-          IndSetSketch Sketch(Q.Name, S, ApproxKind::Under);
-          Hit.SynthesizedSource =
-              Sketch.renderFilled(Hit.Ind.TrueSet, Hit.Ind.FalseSet);
           ANOSY_OBS_SPAN_ARG(Span, "outcome", "cache-hit");
           ANOSY_OBS_OBSERVE_SECONDS(
               "anosy_query_build_seconds",
@@ -573,171 +483,98 @@ private:
     QueryArtifacts<D> Art;
     Art.CacheMissed = CacheKey.has_value();
     Art.CacheSeeded = Seeds.has_value();
-    SynthStats Acc;
-    unsigned Passes = 0;
-    std::optional<Error> LastErr;
-    bool Undecided = false;
-    bool Succeeded = false;
-
-    for (unsigned Attempt = 0; Attempt != MaxAttempts; ++Attempt) {
+    SynthStats &Acc = Art.Stats;
+    // One pass. The partial rung keeps whatever sound partial artifact the
+    // budget allows (k' < k boxes, or ⊥); its synthesis stays chained to
+    // the session budget — a spent session degrades to ⊥ immediately —
+    // while its verification is detached, so the partial artifact is
+    // certified even though the session budget is spent.
+    auto Pass = [&](uint64_t MaxNodes, bool Partial) -> PassOutcome {
       SynthOptions SOpt = Options.Synth;
-      SOpt.MaxSolverNodes = attemptBudget(Attempt);
-      if (QA != nullptr && Options.UseAnalysisSeeds)
-        applyAnalysisSeeds(*QA, S, SOpt);
+      SOpt.MaxSolverNodes = MaxNodes;
+      SOpt.KeepPartialOnExhaustion |= Partial;
       if (Seeds)
         applyCacheSeeds(*Seeds, SOpt);
-      IndSets<D> Ind;
-      SynthStats Pass;
-      ++Passes;
-      auto E = synthPass(Q.Body, SOpt, Ind, Pass);
-      Acc.SolverNodes += Pass.SolverNodes;
-      Acc.Seconds += Pass.Seconds;
-      if (E) {
-        if (E->code() != ErrorCode::BudgetExhausted)
-          return *E; // Hard error: unsupported query, etc.
-        LastErr = std::move(E);
-        Undecided = false;
-        if (sessionSpent())
-          break; // Retrying against a spent session budget is futile.
-        continue;
-      }
+      auto Sy = Synthesizer::create(S, Q.Body, SOpt);
+      if (!Sy)
+        return {Sy.error()};
+      SynthStats One;
+      auto Ind = synthesize(*Sy, One);
+      Acc.SolverNodes += One.SolverNodes;
+      Acc.Seconds += One.Seconds;
+      if (!Ind)
+        return {Ind.error()};
+      CertificateBundle B;
       if (Options.Verify) {
-        uint64_t VerifyNodes = 0;
-        CertificateBundle B =
-            verifyArtifact(Q.Body, Ind, SOpt.MaxSolverNodes, true, VerifyNodes);
-        Acc.SolverNodes += VerifyNodes;
+        B = verifyArtifact(Q.Body, *Ind, MaxNodes, !Partial, Acc.SolverNodes);
         if (const Certificate *Refuted = B.firstRefuted())
-          return Error(ErrorCode::VerificationFailure,
-                       "synthesized ind. sets for '" + Q.Name +
-                           "' failed verification:\n" + Refuted->str());
-        if (!B.valid()) {
-          // Undecided — no counterexample, just not enough budget for a
-          // verdict. Degradable, never conflated with refutation.
-          LastErr = Error(ErrorCode::BudgetExhausted,
-                          "verification undecided for '" + Q.Name + "':\n" +
-                              B.firstFailure()->str());
-          Undecided = true;
-          if (sessionSpent())
-            break;
-          continue;
-        }
-        Art.Certificates = std::move(B);
+          return {Error(ErrorCode::VerificationFailure,
+                        std::string(Partial ? "degraded" : "synthesized") +
+                            " ind. sets for '" + Q.Name +
+                            "' failed verification:\n" + Refuted->str())};
+        // Undecided — no counterexample, just not enough budget for a
+        // verdict. Degradable, never conflated with refutation.
+        if (!B.valid())
+          return {Error(ErrorCode::BudgetExhausted,
+                        "verification undecided for '" + Q.Name + "':\n" +
+                            B.firstFailure()->str()),
+                  true};
       }
-      Art.Ind = std::move(Ind);
-      Acc.BoxesSynthesized = Pass.BoxesSynthesized;
-      Succeeded = true;
-      break;
-    }
-
-    if (!Succeeded) {
-      if (!Options.GracefulDegradation)
-        return *LastErr; // Legacy strict contract.
-
-      // Degraded rung: rerun keeping whatever sound partial artifact the
-      // budget allows (k' < k boxes, or ⊥). The pass stays chained to the
-      // session budget — a spent session degrades to ⊥ immediately.
-      SynthOptions SOpt = Options.Synth;
-      SOpt.MaxSolverNodes = attemptBudget(MaxAttempts - 1);
-      SOpt.KeepPartialOnExhaustion = true;
-      if (QA != nullptr && Options.UseAnalysisSeeds)
-        applyAnalysisSeeds(*QA, S, SOpt);
-      if (Seeds)
-        applyCacheSeeds(*Seeds, SOpt);
-      IndSets<D> Ind;
-      SynthStats Pass;
-      ++Passes;
-      auto E = synthPass(Q.Body, SOpt, Ind, Pass);
-      Acc.SolverNodes += Pass.SolverNodes;
-      Acc.Seconds += Pass.Seconds;
-
-      bool FellBack = true;
-      if (!E) {
-        uint64_t VerifyNodes = 0;
-        CertificateBundle B;
-        bool PartialOk = true;
-        if (Options.Verify) {
-          // Detached: certify the partial artifact even though the
-          // session budget is spent (bounded by the attempt budget).
-          B = verifyArtifact(Q.Body, Ind, SOpt.MaxSolverNodes, false,
-                             VerifyNodes);
-          Acc.SolverNodes += VerifyNodes;
-          if (const Certificate *Refuted = B.firstRefuted())
-            return Error(ErrorCode::VerificationFailure,
-                         "degraded ind. sets for '" + Q.Name +
-                             "' failed verification:\n" + Refuted->str());
-          PartialOk = B.valid();
-        }
-        if (PartialOk) {
-          Art.Ind = std::move(Ind);
-          Art.Certificates = std::move(B);
-          Acc.BoxesSynthesized = Pass.BoxesSynthesized;
-          FellBack = false;
-        }
-      }
-      if (FellBack) {
-        // Last rung: ⊥ for both responses. Sound by construction; the
-        // tracker's policy check rejects downgrades against it.
-        Art.Ind = IndSets<D>{DomainTraits<D>::bottom(S),
-                             DomainTraits<D>::bottom(S)};
-        Art.Certificates = bottomFallbackBundle();
-        Acc.BoxesSynthesized = 0;
-      }
-      Art.Degradation = QueryDegradation{
-          Q.Name,
-          Undecided ? DegradationReason::VerificationUndecided
-                    : DegradationReason::SynthesisExhausted,
-          Passes, FellBack,
-          LastErr ? LastErr->message() : std::string()};
-      // Split the machine-readable code: only a wall-clock (or watchdog)
-      // expiry maps to the deadline code — node caps and injected faults
-      // stay "budget".
-      Art.Degradation->DeadlineExpired =
-          SessionBudget != nullptr && SessionBudget->deadlineExpired();
+      Art.Ind = Ind.takeValue();
+      Art.Certificates = std::move(B);
+      Acc.BoxesSynthesized = One.BoxesSynthesized;
+      return {};
+    };
+    auto Ladder = runLadder(
+        Q.Name, Options, SessionBudget.get(),
+        [&](uint64_t MaxNodes) { return Pass(MaxNodes, false); },
+        [&](uint64_t MaxNodes) { return Pass(MaxNodes, true); });
+    if (!Ladder)
+      return Ladder.error();
+    Art.Attempts = Ladder->Passes;
+    Art.Degradation = std::move(Ladder->Degradation);
+    if (Art.Degradation && Art.Degradation->FellBack) {
+      // Last rung: ⊥ for both responses. Sound by construction; the
+      // tracker's policy check rejects downgrades against it.
+      Art.Ind = Bottom;
+      Art.Certificates = bottomFallbackBundle();
+      Acc.BoxesSynthesized = 0;
     }
 
     // Publish only fully synthesized, (when enabled) fully verified
     // artifacts; degraded rungs are session-local compromises, not
     // reusable truths. Store failures are non-fatal: the cache is an
     // accelerator, losing a write only costs a future hit.
-    if (Succeeded && CacheKey && !Art.Degradation)
+    if (CacheKey && !Art.Degradation)
       (void)Options.Cache->template store<D>(*CacheKey, Art.Ind);
 
-    Art.Stats = Acc;
-    Art.Attempts = Passes;
-    IndSetSketch Sketch(Q.Name, S, ApproxKind::Under);
-    Art.SynthesizedSource =
-        Sketch.renderFilled(Art.Ind.TrueSet, Art.Ind.FalseSet);
     ANOSY_OBS_SPAN_ARG(Span, "outcome",
                        Art.Degradation ? "degraded" : "verified");
-    ANOSY_OBS_SPAN_ARG(Span, "attempts", Passes);
+    ANOSY_OBS_SPAN_ARG(Span, "attempts", Art.Attempts);
     ANOSY_OBS_SPAN_ARG(Span, "solver_nodes", Acc.SolverNodes);
     if (SessionBudget != nullptr)
       ANOSY_OBS_SPAN_ARG(Span, "budget_remaining",
-                         SessionBudget->used() >= SessionBudget->MaxNodes
-                             ? uint64_t(0)
-                             : SessionBudget->MaxNodes -
-                                   SessionBudget->used());
+                         SessionBudget->MaxNodes -
+                             std::min(SessionBudget->used(),
+                                      SessionBudget->MaxNodes));
     ANOSY_OBS_OBSERVE_SECONDS("anosy_query_build_seconds",
                               "Wall time to build one query's artifacts",
                               BuildTimer.seconds());
     return Art;
   }
 
-  /// Installs built artifacts into the tracker and merges bookkeeping, in
-  /// declaration order.
+  /// Renders, installs and accounts built artifacts, in declaration order.
   void installQuery(const QueryDef &Q, QueryArtifacts<D> Art) {
-    QueryInfo<D> Info;
-    Info.Name = Q.Name;
-    Info.QueryExpr = Q.Body;
-    Info.Ind = Art.Ind;
-    Info.Kind = ApproxKind::Under;
+    IndSetSketch Sketch(Q.Name, M.schema(), ApproxKind::Under);
+    Art.SynthesizedSource =
+        Sketch.renderFilled(Art.Ind.TrueSet, Art.Ind.FalseSet);
     // Compile once at registration; synthesis/verification already
     // populated the process-wide tape cache, so this is a cache hit.
-    Info.CompiledQuery = getOrCompileTape(Info.QueryExpr);
-    Tracker->registerQuery(std::move(Info));
-    Stats.SolverNodes += Art.Stats.SolverNodes;
-    Stats.SynthSeconds += Art.Stats.Seconds;
-    Stats.Attempts += Art.Attempts;
+    Tracker->registerQuery(QueryInfo<D>{Q.Name, Q.Body, Art.Ind,
+                                        ApproxKind::Under,
+                                        getOrCompileTape(Q.Body)});
+    accountRegistration(Stats, Report, Art.Stats, Art.Attempts,
+                        Art.Degradation);
     if (Art.FromCache) {
       ++Stats.CacheHits;
       Stats.CacheVerifyNodes += Art.CacheVerifyNodes;
@@ -746,135 +583,59 @@ private:
     }
     if (Art.CacheSeeded)
       ++Stats.CacheSeededQueries;
-    ANOSY_OBS_COUNT("anosy_queries_registered_total",
-                    "Queries registered into a session tracker", 1);
-    if (Art.Degradation) {
-      ++Stats.DegradedQueries;
-      ANOSY_OBS_COUNT("anosy_queries_degraded_total",
-                      "Queries whose artifacts were degraded", 1);
-      Report.Queries.push_back(*Art.Degradation);
-    }
     Artifacts.emplace(Q.Name, std::move(Art));
   }
 
-  void installClassifier(ClassifierBuild Build) {
-    Stats.SolverNodes += Build.Stats.SolverNodes;
-    Stats.SynthSeconds += Build.Stats.Seconds;
-    Stats.Attempts += Build.Attempts;
-    ANOSY_OBS_COUNT("anosy_queries_registered_total",
-                    "Queries registered into a session tracker", 1);
-    if (Build.Degradation) {
-      ++Stats.DegradedQueries;
-      ANOSY_OBS_COUNT("anosy_queries_degraded_total",
-                      "Queries whose artifacts were degraded", 1);
-      Report.Queries.push_back(*Build.Degradation);
-    }
-    Tracker->registerClassifier(std::move(Build.Info));
-  }
-
-  /// One strict classifier pass: enumerate outputs, synthesize each
-  /// output's under set, verify every obligation (chained). Returns the
-  /// bundle-style outcome through \p Build; an unverified/undecided
-  /// outcome is signalled via the returned error (BudgetExhausted).
-  std::optional<Error> classifierPass(const ClassifierDef &C,
-                                      const SynthOptions &SOpt,
-                                      bool ChainedVerify,
-                                      ClassifierBuild &Build) const {
+  /// Builds, installs and accounts one classifier. A strict pass
+  /// enumerates the outputs, synthesizes each output's under set and
+  /// verifies each against "body == output". There is no partial rung:
+  /// the fallback is an *empty* feasible-output list, and the tracker
+  /// refuses to downgrade a degraded classifier (conservative rejection),
+  /// because a partial output list could misattribute a secret's
+  /// posterior.
+  std::optional<Error> registerClassifier(const ClassifierDef &C) {
     const Schema &S = M.schema();
-    auto Synth = ClassifierSynthesizer::create(S, C.Body, SOpt);
-    if (!Synth)
-      return Synth.error();
-
-    ClassifierInfo<D> Info;
-    Info.Name = C.Name;
-    Info.Body = C.Body;
-    Info.Kind = ApproxKind::Under;
-    SynthStats Pass;
-    if constexpr (std::is_same_v<D, Box>) {
-      auto Sets = Synth->synthesizeInterval(ApproxKind::Under, &Pass);
-      if (!Sets)
-        return Sets.error();
-      Info.Ind = Sets.takeValue();
-    } else {
-      auto Sets = Synth->synthesizePowerset(ApproxKind::Under,
-                                            Options.PowersetSize, &Pass);
-      if (!Sets)
-        return Sets.error();
-      Info.Ind = Sets.takeValue();
-    }
-    Build.Stats.SolverNodes += Pass.SolverNodes;
-    Build.Stats.Seconds += Pass.Seconds;
-
-    if (Options.Verify) {
-      for (const OutputIndSet<D> &O : Info.Ind) {
-        RefinementChecker Checker(
-            S, Synth->outputQuery(O.Value), SOpt.MaxSolverNodes,
-            ChainedVerify ? Options.Synth.SessionBudget : nullptr,
-            ChainedVerify ? Options.Synth.DeadlineMs : 0);
-        // Per-output obligation: every member of the set maps to O.Value.
-        IndSets<D> AsPair{O.Set, DomainTraits<D>::bottom(S)};
-        CertificateBundle B = Checker.checkIndSets(AsPair, ApproxKind::Under);
-        Build.Stats.SolverNodes += Checker.solverNodesUsed();
-        if (const Certificate *Refuted = B.firstRefuted())
-          return Error(ErrorCode::VerificationFailure,
-                       "classifier '" + C.Name + "' output " +
-                           std::to_string(O.Value) +
-                           " failed verification:\n" + Refuted->str());
-        if (!B.valid())
-          return Error(ErrorCode::BudgetExhausted,
-                       "verification undecided for classifier '" + C.Name +
-                           "' output " + std::to_string(O.Value));
-      }
-    }
-    Build.Info = std::move(Info);
-    return std::nullopt;
-  }
-
-  /// Classifier ladder: retry strictly, then degrade. The classifier
-  /// fallback is an *empty* feasible-output list — the tracker refuses to
-  /// downgrade a degraded classifier (conservative rejection), because a
-  /// partial output list could misattribute a secret's posterior.
-  Result<ClassifierBuild> buildClassifierInfo(const ClassifierDef &C) const {
-    const unsigned MaxAttempts = std::max(1u, Options.Retry.MaxAttempts);
-    ClassifierBuild Build;
-    std::optional<Error> LastErr;
-    bool Undecided = false;
-    unsigned Passes = 0;
-
-    for (unsigned Attempt = 0; Attempt != MaxAttempts; ++Attempt) {
+    ClassifierInfo<D> Info{C.Name, C.Body, {}, ApproxKind::Under};
+    SynthStats Cost;
+    auto Strict = [&](uint64_t MaxNodes) -> PassOutcome {
       SynthOptions SOpt = Options.Synth;
-      SOpt.MaxSolverNodes = attemptBudget(Attempt);
-      ++Passes;
-      auto E = classifierPass(C, SOpt, true, Build);
-      if (!E) {
-        Build.Attempts = Passes;
-        return Build;
-      }
-      if (E->code() == ErrorCode::BudgetExhausted) {
-        Undecided = E->message().rfind("verification undecided", 0) == 0;
-        LastErr = std::move(E);
-        if (sessionSpent())
-          break;
-        continue;
-      }
-      return *E; // Refutation or unsupported classifier: hard error.
-    }
-
-    if (!Options.GracefulDegradation)
-      return *LastErr;
-    Build.Info.Name = C.Name;
-    Build.Info.Body = C.Body;
-    Build.Info.Kind = ApproxKind::Under;
-    Build.Info.Ind.clear();
-    Build.Attempts = Passes;
-    Build.Degradation = QueryDegradation{
-        C.Name,
-        Undecided ? DegradationReason::VerificationUndecided
-                  : DegradationReason::SynthesisExhausted,
-        Passes, true, LastErr ? LastErr->message() : std::string()};
-    Build.Degradation->DeadlineExpired =
-        SessionBudget != nullptr && SessionBudget->deadlineExpired();
-    return Build;
+      SOpt.MaxSolverNodes = MaxNodes;
+      auto Sy = ClassifierSynthesizer::create(S, C.Body, SOpt);
+      if (!Sy)
+        return {Sy.error()};
+      SynthStats One;
+      auto Sets = synthesize(*Sy, One);
+      if (!Sets)
+        return {Sets.error()};
+      Cost.SolverNodes += One.SolverNodes;
+      Cost.Seconds += One.Seconds;
+      // Per-output obligation: every member of the set maps to O.Value.
+      if (Options.Verify)
+        for (const OutputIndSet<D> &O : *Sets) {
+          std::string Output =
+              "classifier '" + C.Name + "' output " + std::to_string(O.Value);
+          CertificateBundle B = verifyArtifact(
+              Sy->outputQuery(O.Value), {O.Set, DomainTraits<D>::bottom(S)},
+              MaxNodes, true, Cost.SolverNodes);
+          if (const Certificate *Refuted = B.firstRefuted())
+            return {Error(ErrorCode::VerificationFailure,
+                          Output + " failed verification:\n" + Refuted->str())};
+          if (!B.valid())
+            return {Error(ErrorCode::BudgetExhausted,
+                          "verification undecided for " + Output),
+                    true};
+        }
+      Info.Ind = Sets.takeValue();
+      return {};
+    };
+    auto Ladder =
+        runLadder(C.Name, Options, SessionBudget.get(), Strict, nullptr);
+    if (!Ladder)
+      return Ladder.error();
+    accountRegistration(Stats, Report, Cost, Ladder->Passes,
+                        Ladder->Degradation);
+    Tracker->registerClassifier(std::move(Info));
+    return std::nullopt;
   }
 
   Module M;

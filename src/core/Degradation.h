@@ -104,14 +104,12 @@ struct DegradationReport {
 };
 
 /// Retry before degrading: each attempt multiplies the per-call solver
-/// budget by BudgetGrowth. Attempts stop early once the session-wide
-/// budget or deadline is spent (retrying against a dead session budget
-/// cannot succeed).
+/// budget by 4. Attempts stop early once the session-wide budget or
+/// deadline is spent (retrying against a dead session budget cannot
+/// succeed).
 struct RetryPolicy {
   /// Total synthesis attempts per query (1 = no retry).
   unsigned MaxAttempts = 1;
-  /// Per-attempt budget multiplier.
-  double BudgetGrowth = 4.0;
 };
 
 /// Cumulative cost of one session creation, across every query,

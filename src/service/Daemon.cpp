@@ -196,7 +196,6 @@ Result<RecoveryReport> MonitorDaemon::start() {
         continue;
       }
       SessionOptions SOpt = Options.Session;
-      SOpt.GracefulDegradation = true;
       SOpt.Cache = Cache.get();
       if (Options.Quotas.MaxSessionNodes != 0)
         SOpt.MaxSessionNodes = Options.Quotas.MaxSessionNodes;
@@ -517,7 +516,6 @@ ServiceResponse MonitorDaemon::executeRegister(const WorkItem &Item) {
   }
 
   SessionOptions SOpt = Options.Session;
-  SOpt.GracefulDegradation = true;
   SOpt.Cache = Cache.get();
   // Front-door admission, step 2: anosy-lint policy admission on every
   // registration. A service-admit fault makes the analysis transiently

@@ -5,17 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Checked full-token integer parsing for command-line flags. Unlike
-/// atoi/strtoll, these reject empty tokens, trailing garbage, and
+/// Checked full-token number parsing for command-line flags. Unlike
+/// atoi/strtoll/atof, these reject empty tokens, trailing garbage, and
 /// out-of-range values instead of silently returning 0 or saturating —
-/// `--retry=abc` and `--min-size=9999999999999999999999` are errors,
-/// not surprising configurations. Header-only and allocation-free.
+/// `--retry=abc`, `--min-size=9999999999999999999999` and `--sps abc`
+/// are errors, not surprising configurations. Header-only and
+/// allocation-free.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ANOSY_SUPPORT_PARSENUM_H
 #define ANOSY_SUPPORT_PARSENUM_H
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -66,6 +69,20 @@ inline std::optional<unsigned> parseUnsigned(std::string_view Token) {
   if (!V || *V > std::numeric_limits<unsigned>::max())
     return std::nullopt;
   return static_cast<unsigned>(*V);
+}
+
+/// Parses \p Token as a finite, non-negative decimal number (rates and
+/// factors such as `--sps 2.5`). The whole token must parse; nullopt on
+/// empty input, trailing garbage, a negative value, inf, nan, or
+/// overflow.
+inline std::optional<double> parseDouble(std::string_view Token) {
+  double V = 0;
+  const char *End = Token.data() + Token.size();
+  auto [Ptr, Ec] = std::from_chars(Token.data(), End, V);
+  if (Token.empty() || Ec != std::errc() || Ptr != End || !std::isfinite(V) ||
+      V < 0)
+    return std::nullopt;
+  return V;
 }
 
 } // namespace anosy

@@ -58,8 +58,9 @@ struct SynthOptions {
   /// ITERSYNTH keeps the k' < k boxes already grown (under), or the
   /// not-yet-sharpened bounding box / full space ⊤ (over), and SYNTH's
   /// interval falls to ⊥ (under) / ⊤ (over). Stats->Exhausted reports
-  /// that degradation happened. Off by default: library callers see the
-  /// legacy strict contract unless they opt in (AnosySession does).
+  /// that degradation happened. Off by default (the strict contract);
+  /// AnosySession turns it on only for the partial rung of its
+  /// degradation ladder, after its strict retries (DESIGN.md §6).
   bool KeepPartialOnExhaustion = false;
   /// Static-analysis search-region seeds (analysis/SolverSeeds.h,
   /// DESIGN.md §7): sound over-approximations of the True/False answer

@@ -276,6 +276,20 @@ TEST(CrashSafeIO, SessionExportReloadsWithoutResynthesis) {
       EXPECT_EQ(*A, *B);
     }
   }
+  // Loaded without re-verification, every record still carries the
+  // rendered sketch the synthesizing session produced.
+  SessionOptions NoVerify;
+  NoVerify.Verify = false;
+  auto Unverified = AnosySession<Box>::createFromKnowledgeBase(
+      Text, minSizePolicy<Box>(100), NoVerify);
+  ASSERT_TRUE(Unverified.ok()) << Unverified.error().str();
+  for (const char *Name : {"nearby200", "nearby300"}) {
+    ASSERT_NE(Unverified->artifacts(Name), nullptr) << Name;
+    EXPECT_FALSE(S->artifacts(Name)->SynthesizedSource.empty()) << Name;
+    EXPECT_EQ(Unverified->artifacts(Name)->SynthesizedSource,
+              S->artifacts(Name)->SynthesizedSource)
+        << Name;
+  }
 }
 
 TEST(CrashSafeIO, CorruptRecordIsResynthesizedOnLoad) {

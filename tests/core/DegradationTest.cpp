@@ -32,16 +32,6 @@ Module classifierModule() {
 
 } // namespace
 
-TEST(Degradation, StrictModeStillFailsOnExhaustion) {
-  SessionOptions Options;
-  Options.Synth.MaxSolverNodes = 5;
-  Options.GracefulDegradation = false;
-  auto S = AnosySession<Box>::create(nearbyModule(),
-                                     minSizePolicy<Box>(100), Options);
-  ASSERT_FALSE(S.ok());
-  EXPECT_EQ(S.error().code(), ErrorCode::BudgetExhausted);
-}
-
 TEST(Degradation, ExhaustedSessionDegradesInsteadOfFailing) {
   SessionOptions Options;
   Options.Synth.MaxSolverNodes = 5;
@@ -110,7 +100,6 @@ TEST(Degradation, RetryWithGrownBudgetRecovers) {
   SessionOptions Options;
   Options.Synth.MaxSolverNodes = 10;
   Options.Retry.MaxAttempts = 40;
-  Options.Retry.BudgetGrowth = 4.0;
   auto S = AnosySession<Box>::create(nearbyModule(),
                                      minSizePolicy<Box>(100), Options);
   ASSERT_TRUE(S.ok()) << S.error().str();

@@ -5,7 +5,7 @@
 // and reloads knowledge. The invariants under test:
 //
 //   1. Session creation never fails because of an injected resource
-//      fault — it degrades (GracefulDegradation).
+//      fault — it degrades.
 //   2. Every surviving artifact is *sound*: a fresh, fault-free
 //      refinement check accepts it (⊥ passes vacuously).
 //   3. Downgrades are identical to a clean session's, or conservative
@@ -52,7 +52,6 @@ Module nearbyModule() {
 SessionOptions faultTolerantOptions() {
   SessionOptions Options;
   Options.Retry.MaxAttempts = 3;
-  Options.Retry.BudgetGrowth = 4.0;
   return Options;
 }
 

@@ -54,3 +54,25 @@ TEST(ParseNum, UnsignedRangeChecks) {
   EXPECT_FALSE(parseUnsigned("-1"));
   EXPECT_FALSE(parseUnsigned("two"));
 }
+
+TEST(ParseNum, DoubleAcceptsNonNegativeDecimals) {
+  EXPECT_EQ(parseDouble("0"), 0.0);
+  EXPECT_EQ(parseDouble("2.5"), 2.5);
+  EXPECT_EQ(parseDouble("40"), 40.0);
+  EXPECT_EQ(parseDouble(".5"), 0.5);
+  EXPECT_EQ(parseDouble("1e3"), 1000.0);
+}
+
+TEST(ParseNum, DoubleRejectsGarbageNegativesAndNonFinite) {
+  EXPECT_FALSE(parseDouble(""));
+  EXPECT_FALSE(parseDouble("abc"));  // atof: 0
+  EXPECT_FALSE(parseDouble("x"));    // atof: 0
+  EXPECT_FALSE(parseDouble("2.5x")); // atof: 2.5
+  EXPECT_FALSE(parseDouble(" 2"));
+  EXPECT_FALSE(parseDouble("2 "));
+  EXPECT_FALSE(parseDouble("+2"));
+  EXPECT_FALSE(parseDouble("-1"));
+  EXPECT_FALSE(parseDouble("inf"));
+  EXPECT_FALSE(parseDouble("nan"));
+  EXPECT_FALSE(parseDouble("1e999")); // out of range
+}
