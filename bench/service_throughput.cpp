@@ -32,7 +32,6 @@ namespace {
 DaemonOptions pumpOptions(const std::string &DataDir) {
   DaemonOptions Opt;
   Opt.Workers = 0;
-  Opt.WatchdogPollMs = 0;
   Opt.DataDir = DataDir;
   return Opt;
 }

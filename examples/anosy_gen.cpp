@@ -48,7 +48,6 @@
 #include "gen/Oracle.h"
 #include "gen/ScenarioGen.h"
 #include "gen/TraceGen.h"
-#include "service/LoadHarness.h"
 #include "support/FaultInjection.h"
 #include "support/ParseNum.h"
 #include "support/Rng.h"
@@ -83,11 +82,6 @@ int usage() {
       "[--no-kb-check]\n"
       "   or: anosy_gen soak [--seed N] [--sessions N] [--per-family K]\n"
       "                 [--traces N] [--steps N] [--dump-dir DIR]\n"
-      "                 [--sps X] [--tenants N] [--workers N]\n"
-      "                 [--queue-capacity N] [--deadline-ms N] [--burst X]\n"
-      "       (--sps/--tenants/--burst switch to daemon mode: a\n"
-      "        MonitorDaemon is driven with interleaved multi-tenant\n"
-      "        traces at X sessions/s, oracle-checked)\n"
       "   or: anosy_gen faults [--seed N] [--scenarios N] "
       "[--dump-dir DIR]\n"
       "families: location census medical auction probe adversarial\n"
@@ -117,13 +111,6 @@ unsigned parseUnsignedFlag(const char *Flag, const char *Value) {
 
 int64_t parseInt64Flag(const char *Flag, const char *Value) {
   auto V = parseInt64(Value);
-  if (!V)
-    badFlagValue(Flag, Value);
-  return *V;
-}
-
-double parseDoubleFlag(const char *Flag, const char *Value) {
-  auto V = parseDouble(Value);
   if (!V)
     badFlagValue(Flag, Value);
   return *V;
@@ -469,60 +456,12 @@ int runReplay(int Argc, char **Argv) {
   return printReplay(R, T->Name);
 }
 
-/// Daemon-mode soak: drive an in-process MonitorDaemon with interleaved
-/// multi-tenant traffic at a target sessions-per-second rate (or as
-/// overload bursts), oracle-checking every admitted answer.
-int runDaemonSoak(uint64_t Seed, unsigned Sessions, unsigned Steps,
-                  double Sps, unsigned TenantCount, unsigned Workers,
-                  size_t QueueCapacity, uint64_t DeadlineMs, double Burst) {
-  service::DaemonOptions DOpt;
-  DOpt.Workers = Workers;
-  DOpt.QueueCapacity = QueueCapacity;
-  DOpt.DefaultDeadlineMs = DeadlineMs;
-  service::MonitorDaemon Daemon(DOpt);
-  if (auto S = Daemon.start(); !S) {
-    std::fprintf(stderr, "daemon start failed: %s\n",
-                 S.error().str().c_str());
-    return 1;
-  }
-  service::LoadOptions LOpt;
-  LOpt.Tenants = TenantCount;
-  LOpt.Sessions = Sessions;
-  LOpt.StepsPerSession = Steps != 0 ? Steps : 12;
-  LOpt.Seed = Seed;
-  LOpt.SessionsPerSecond = Sps;
-  LOpt.BurstFactor = Burst;
-  LOpt.StepDeadlineMs = DeadlineMs;
-  service::LoadReport Rep = service::runLoad(Daemon, LOpt);
-  service::DrainReport Drain = Daemon.drain();
-  std::printf("%s\n", service::renderLoadReport(Rep).c_str());
-  std::printf("soak: %llu steps over %u tenants in %.2fs "
-              "(%.1f sessions/s), admitted %llu, shed %llu, bottom %llu, "
-              "refused %llu, %llu mismatches; drained %llu\n",
-              static_cast<unsigned long long>(Rep.Steps),
-              Rep.TenantsRegistered, Rep.Seconds, Rep.AchievedSps,
-              static_cast<unsigned long long>(Rep.Admitted),
-              static_cast<unsigned long long>(Rep.Shed),
-              static_cast<unsigned long long>(Rep.Bottom),
-              static_cast<unsigned long long>(Rep.Refused),
-              static_cast<unsigned long long>(Rep.Mismatches),
-              static_cast<unsigned long long>(Drain.Drained));
-  for (const std::string &Msg : Rep.MismatchNotes)
-    std::fprintf(stderr, "  %s\n", Msg.c_str());
-  return Rep.Mismatches == 0 && Rep.TenantsFailed == 0 ? 0 : 1;
-}
-
 int runSoak(int Argc, char **Argv) {
   uint64_t Seed = 1;
   unsigned Sessions = 50;
   std::string DumpDir;
   CorpusOptions Shape;
   Shape.ModulesPerFamily = 1;
-  bool DaemonMode = false;
-  double Sps = 0, Burst = 0;
-  unsigned TenantCount = 4, Workers = 2, SoakSteps = 0;
-  size_t QueueCapacity = 64;
-  uint64_t DeadlineMs = 0;
   for (int I = 2; I < Argc; ++I) {
     std::string Arg = Argv[I];
     auto Next = [&]() -> const char * {
@@ -539,31 +478,12 @@ int runSoak(int Argc, char **Argv) {
       Shape.TracesPerModule = parseUnsignedFlag("--traces", V);
     } else if (Arg == "--steps" && (V = Next())) {
       Shape.StepsPerTrace = parseUnsignedFlag("--steps", V);
-      SoakSteps = Shape.StepsPerTrace;
     } else if (Arg == "--dump-dir" && (V = Next())) {
       DumpDir = V;
-    } else if (Arg == "--sps" && (V = Next())) {
-      Sps = parseDoubleFlag("--sps", V);
-      DaemonMode = true;
-    } else if (Arg == "--tenants" && (V = Next())) {
-      TenantCount = parseUnsignedFlag("--tenants", V);
-      DaemonMode = true;
-    } else if (Arg == "--workers" && (V = Next())) {
-      Workers = parseUnsignedFlag("--workers", V);
-    } else if (Arg == "--queue-capacity" && (V = Next())) {
-      QueueCapacity = parseUnsignedFlag("--queue-capacity", V);
-    } else if (Arg == "--deadline-ms" && (V = Next())) {
-      DeadlineMs = parseUint64Flag("--deadline-ms", V);
-    } else if (Arg == "--burst" && (V = Next())) {
-      Burst = parseDoubleFlag("--burst", V);
-      DaemonMode = true;
     } else {
       return usage();
     }
   }
-  if (DaemonMode)
-    return runDaemonSoak(Seed, Sessions, SoakSteps, Sps, TenantCount,
-                         Workers, QueueCapacity, DeadlineMs, Burst);
 
   Stopwatch Clock;
   unsigned Ran = 0;

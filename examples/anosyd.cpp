@@ -317,6 +317,10 @@ int main(int Argc, char **Argv) {
                  "records) in %.3fs\n",
                  Recovered->TenantsRecovered, Recovered->TenantsFailed,
                  Recovered->DamagedRecords, Recovered->Seconds);
+  for (const RecoveredTenant &T : Recovered->Tenants)
+    if (!T.Ok)
+      std::fprintf(stderr, "anosyd: tenant %s not recovered: %s\n",
+                   T.Tenant.c_str(), T.Error.c_str());
 
   return SoakMode ? soak(Daemon, LOpt, MetricsOut)
                   : serve(Daemon, MetricsOut);

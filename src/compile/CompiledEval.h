@@ -1,26 +1,21 @@
-//===- compile/CompiledEval.h - Query compilation & tape cache --*- C++ -*-===//
+//===- compile/CompiledEval.h - Which queries compile to tapes --*- C++ -*-===//
 //
 // Part of anosy-cpp (see DESIGN.md).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Which queries the solver evaluates through a compiled tape, and the
-/// process-wide tape cache behind them. The rule depends on the input
-/// only: a query compiles when it is large enough (MinCompileTreeSize
-/// AST nodes) that the tape's per-probe savings beat its one-shot compile
-/// cost; trivial queries (a lone comparison) stay on the tree walk, which
-/// also remains the fallback and the differential oracle.
+/// Which queries the solver evaluates through a compiled tape. The rule
+/// depends on the input only: a query compiles when it is large enough
+/// (MinCompileTreeSize AST nodes) that the tape's per-probe savings beat
+/// its one-shot compile cost; trivial queries (a lone comparison) stay on
+/// the tree walk, which also remains the fallback and the differential
+/// oracle.
 ///
-/// The cache keys tapes by structural hash + structural equality, so a
-/// query registered once and re-elaborated many times (sessions, refine
-/// chains, the corpus soak) compiles exactly once per distinct shape:
-/// racing compiles of the same shape (anosyd workers share the cache)
-/// re-probe under the insert lock and converge on a single tape. The
-/// cache is bounded; overflow runs a second-chance sweep (probe hits mark
-/// entries referenced; sweeps evict the unreferenced and demote the
-/// rest), so hot shapes survive a stream of cold one-shot shapes instead
-/// of being recompiled on every wrap.
+/// Nothing is cached: each predicate owner (a Synthesizer, a
+/// RefinementChecker) compiles its query once and reuses the tape for
+/// every probe it makes. A tape is a deterministic function of its
+/// expression, so structurally equal queries compile to identical tapes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,17 +33,12 @@ namespace anosy {
 /// already a handful of inlined calls and the tape buys nothing.
 inline constexpr size_t MinCompileTreeSize = 4;
 
-/// The tape for \p E: a cached or freshly compiled tape, or nullptr when
-/// \p E is below MinCompileTreeSize (or exceeds the tape's register
-/// file). Thread-safe.
+/// A freshly compiled tape for \p E, or nullptr when \p E is below
+/// MinCompileTreeSize (or exceeds the tape's register file). Every call
+/// compiles and is counted in anosy_tape_compiles_total. (The name dates
+/// from a removed tape cache; the benchmark's registration replay still
+/// calls it.)
 TapeRef getOrCompileTape(const ExprRef &E);
-
-/// Test-only introspection of the process-wide tape cache: live entry
-/// count, full reset, and a side-effect-free membership probe (does not
-/// touch the second-chance referenced bits).
-size_t tapeCacheSizeForTest();
-void tapeCacheClearForTest();
-bool tapeCacheContainsForTest(const ExprRef &E);
 
 } // namespace anosy
 

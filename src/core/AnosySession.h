@@ -43,7 +43,6 @@
 
 #include "analysis/LeakageAnalyzer.h"
 #include "cache/ArtifactCache.h"
-#include "compile/CompiledEval.h"
 #include "core/ArtifactIO.h"
 #include "core/Degradation.h"
 #include "core/KnowledgeTracker.h"
@@ -568,11 +567,8 @@ private:
     IndSetSketch Sketch(Q.Name, M.schema(), ApproxKind::Under);
     Art.SynthesizedSource =
         Sketch.renderFilled(Art.Ind.TrueSet, Art.Ind.FalseSet);
-    // Compile once at registration; synthesis/verification already
-    // populated the process-wide tape cache, so this is a cache hit.
-    Tracker->registerQuery(QueryInfo<D>{Q.Name, Q.Body, Art.Ind,
-                                        ApproxKind::Under,
-                                        getOrCompileTape(Q.Body)});
+    Tracker->registerQuery(
+        QueryInfo<D>{Q.Name, Q.Body, Art.Ind, ApproxKind::Under});
     accountRegistration(Stats, Report, Art.Stats, Art.Attempts,
                         Art.Degradation);
     if (Art.FromCache) {

@@ -132,8 +132,8 @@ struct SessionStats {
 
 /// The SessionStats → MetricsRegistry bridge (DESIGN.md §8): publishes the
 /// cumulative creation cost as anosy_session_* gauges. A no-op while the
-/// obs runtime switch is off (and compiled out under ANOSY_OBS_DISABLED),
-/// so sessions stay observability-free by default.
+/// obs runtime switch is off, so sessions stay observability-free by
+/// default.
 void publishSessionStats(const SessionStats &Stats);
 
 } // namespace anosy

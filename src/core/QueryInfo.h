@@ -19,7 +19,6 @@
 #include "compile/Tape.h"
 #include "domains/AbstractDomain.h"
 #include "expr/Eval.h"
-#include "solver/Predicate.h"
 #include "synth/ClassifierSynth.h"
 #include "synth/Synthesizer.h"
 
@@ -38,19 +37,13 @@ template <AbstractDomain D> struct QueryInfo {
   IndSets<D> Ind;
   /// Which approximation the ind. sets are (policy enforcement uses Under).
   ApproxKind Kind = ApproxKind::Under;
-  /// The query compiled to an interval-eval tape at registration (null
-  /// for queries below MinCompileTreeSize, which tree-walk). Every later
-  /// box probe against this query goes through predicate() and reuses it.
-  TapeRef CompiledQuery;
+  /// Unused by the library and null in every registered query; only the
+  /// benchmark's registration replay (perfbench/src/Replay.cpp) assigns
+  /// it, to time a tape compile.
+  TapeRef CompiledQuery = nullptr;
 
   /// Runs the query on a concrete secret.
   bool run(const Point &Secret) const { return evalBool(*QueryExpr, Secret); }
-
-  /// The query as a solver predicate, backed by the registration-time
-  /// tape (tree-walk when none was compiled).
-  PredicateRef predicate() const {
-    return exprPredicate(QueryExpr, CompiledQuery);
-  }
 
   /// The synthesized approximation function: posterior pair for \p Prior
   /// (Fig. 4's underapprox/overapprox — a pairwise intersection, free at

@@ -5,16 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The macros instrumented code uses (DESIGN.md §8). Two kill switches
-/// stack:
-///
-///  * runtime (default off): every site checks obs::enabled() — one
-///    relaxed atomic load — and does nothing when off. Span *arguments*
-///    are guarded per span, so their expressions are not evaluated for
-///    disabled spans either.
-///  * compile time: building with -DANOSY_OBS_DISABLED replaces spans
-///    with NullSpan and statements with empty ones; the argument
-///    expressions disappear from the object code entirely.
+/// The macros instrumented code uses (DESIGN.md §8). One runtime kill
+/// switch, off by default: every site checks obs::enabled() — one relaxed
+/// atomic load — and does nothing when off. Span *arguments* are guarded
+/// per span, so their expressions are not evaluated for disabled spans
+/// either.
 ///
 /// Sites are phase-grained (per query / per synthesis pass / per KB
 /// write), never per solver node: the ≤1% disabled-overhead bound pinned
@@ -26,30 +21,8 @@
 #ifndef ANOSY_OBS_INSTRUMENT_H
 #define ANOSY_OBS_INSTRUMENT_H
 
-#include "obs/Obs.h"
-
-#if defined(ANOSY_OBS_DISABLED)
-
-#define ANOSY_OBS_SPAN(Var, Name) ::anosy::obs::NullSpan Var(Name)
-#define ANOSY_OBS_SPAN_ARG(Var, Key, Value)                                    \
-  do {                                                                         \
-  } while (false)
-#define ANOSY_OBS_COUNT(Name, Help, Delta)                                     \
-  do {                                                                         \
-  } while (false)
-#define ANOSY_OBS_GAUGE_SET(Name, Help, Value)                                 \
-  do {                                                                         \
-  } while (false)
-#define ANOSY_OBS_GAUGE_MAX(Name, Help, Value)                                 \
-  do {                                                                         \
-  } while (false)
-#define ANOSY_OBS_OBSERVE_SECONDS(Name, Help, Seconds)                         \
-  do {                                                                         \
-  } while (false)
-
-#else // !ANOSY_OBS_DISABLED
-
 #include "obs/Metrics.h"
+#include "obs/Obs.h"
 #include "obs/Trace.h"
 
 /// Opens an RAII span named \p Name bound to the global recorder; records
@@ -104,7 +77,5 @@
       AnosyObsHist.observe((Seconds));                                         \
     }                                                                          \
   } while (false)
-
-#endif // ANOSY_OBS_DISABLED
 
 #endif // ANOSY_OBS_INSTRUMENT_H

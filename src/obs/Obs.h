@@ -6,16 +6,13 @@
 ///
 /// \file
 /// The root of the observability subsystem (DESIGN.md §8): the global
-/// runtime on/off switch, dense per-thread ids for trace events, and the
-/// NullSpan stand-in the compile-time kill switch substitutes for real
-/// spans.
+/// runtime on/off switch and dense per-thread ids for trace events.
 ///
 /// Cost contract: with the switch off (the default), every instrumentation
 /// site in the hot path is one relaxed atomic load and a branch — no
-/// allocation, no clock read, no lock. Compiling with ANOSY_OBS_DISABLED
-/// removes even that (see obs/Instrument.h). Neither mode perturbs solver
-/// node counts or synthesized artifacts: spans and metrics only *read*
-/// what the pipeline already computes.
+/// allocation, no clock read, no lock (see obs/Instrument.h). Neither
+/// setting perturbs solver node counts or synthesized artifacts: spans
+/// and metrics only *read* what the pipeline already computes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,19 +34,6 @@ void setEnabled(bool On);
 /// events into per-tid lanes, so small sequential ids render better than
 /// hashed native handles.
 uint32_t threadId();
-
-/// The no-op span ANOSY_OBS_DISABLED builds instantiate. The destructor
-/// is declared (not defaulted) so `NullSpan S(...)` never trips
-/// -Wunused-variable.
-class NullSpan {
-public:
-  explicit NullSpan(const char *) {}
-  ~NullSpan() {}
-  NullSpan(const NullSpan &) = delete;
-  NullSpan &operator=(const NullSpan &) = delete;
-  template <typename T> void arg(const char *, const T &) {}
-  void end() {}
-};
 
 /// RAII flip of the runtime switch (tests and benches; restores the
 /// previous state even on early return).

@@ -7,12 +7,15 @@
 #include "expr/Parser.h"
 #include "obs/Instrument.h"
 #include "support/FaultInjection.h"
+#include "support/ParseNum.h"
 #include "support/Stats.h"
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <dirent.h>
+#include <optional>
+#include <string_view>
 #include <sys/stat.h>
 
 using namespace anosy;
@@ -21,6 +24,13 @@ using namespace anosy::service;
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// How often the watchdog scans in-flight deadlines.
+constexpr std::chrono::milliseconds WatchdogPoll{2};
+/// Total attempts per tenant flush (transient-fault retries).
+constexpr unsigned FlushAttempts = 3;
+/// Backoff before the first flush retry, doubled per retry.
+constexpr uint64_t RetryBackoffMs = 1;
 
 /// mkdir -p: creates each prefix of \p Path, tolerating existing
 /// directories. Errors surface later when the first write fails.
@@ -70,26 +80,17 @@ std::optional<std::string> readSmallFile(const std::string &Path) {
   return Text;
 }
 
-/// Parses the `min-size <N>` sidecar; -1 (permissive) on anything else.
-int64_t parseMetaMinSize(const std::string &Text) {
-  const std::string Key = "min-size ";
-  if (Text.rfind(Key, 0) != 0)
-    return -1;
-  int64_t Value = 0;
-  bool Neg = false;
-  size_t I = Key.size();
-  if (I < Text.size() && Text[I] == '-') {
-    Neg = true;
-    ++I;
-  }
-  bool Any = false;
-  for (; I < Text.size() && Text[I] >= '0' && Text[I] <= '9'; ++I) {
-    Value = Value * 10 + (Text[I] - '0');
-    Any = true;
-  }
-  if (!Any)
-    return -1;
-  return Neg ? -Value : Value;
+/// Parses the `min-size <N>` sidecar: everything after the key, bar one
+/// trailing newline, must be one int64. nullopt on anything else, which
+/// fails the tenant's recovery closed rather than dropping its policy.
+std::optional<int64_t> parseMetaMinSize(std::string_view Text) {
+  constexpr std::string_view Key = "min-size ";
+  if (!Text.starts_with(Key))
+    return std::nullopt;
+  Text.remove_prefix(Key.size());
+  if (Text.ends_with('\n'))
+    Text.remove_suffix(1);
+  return parseInt64(Text);
 }
 
 KnowledgePolicy<Box> policyForMinSize(int64_t MinSize) {
@@ -182,17 +183,30 @@ Result<RecoveryReport> MonitorDaemon::start() {
     for (const std::string &Tenant : listKbStems(Options.DataDir)) {
       RecoveredTenant Row;
       Row.Tenant = Tenant;
+      auto Fail = [&](std::string Why) {
+        Row.Error = std::move(Why);
+        ++Recovery.TenantsFailed;
+        Recovery.Tenants.push_back(std::move(Row));
+      };
       std::string KbPath = Options.DataDir + "/" + Tenant + ".akb";
       std::string MetaPath = Options.DataDir + "/" + Tenant + ".meta";
-      int64_t MinSize = -1;
-      if (auto Meta = readSmallFile(MetaPath))
-        MinSize = parseMetaMinSize(*Meta);
+      // The sidecar holds the tenant's policy; serving the KB without it
+      // would answer under no policy at all.
+      auto Meta = readSmallFile(MetaPath);
+      if (!Meta) {
+        Fail("policy sidecar " + MetaPath + " is missing or unreadable");
+        continue;
+      }
+      std::optional<int64_t> MinSize = parseMetaMinSize(*Meta);
+      if (!MinSize) {
+        Fail("policy sidecar " + MetaPath +
+             " is malformed (expected 'min-size <int64>')");
+        continue;
+      }
 
       auto Text = readKnowledgeBaseFile(KbPath);
       if (!Text) {
-        Row.Error = Text.error().message();
-        ++Recovery.TenantsFailed;
-        Recovery.Tenants.push_back(std::move(Row));
+        Fail(Text.error().message());
         continue;
       }
       SessionOptions SOpt = Options.Session;
@@ -200,11 +214,9 @@ Result<RecoveryReport> MonitorDaemon::start() {
       if (Options.Quotas.MaxSessionNodes != 0)
         SOpt.MaxSessionNodes = Options.Quotas.MaxSessionNodes;
       auto S = AnosySession<Box>::createFromKnowledgeBase(
-          *Text, policyForMinSize(MinSize), SOpt);
+          *Text, policyForMinSize(*MinSize), SOpt);
       if (!S) {
-        Row.Error = S.error().message();
-        ++Recovery.TenantsFailed;
-        Recovery.Tenants.push_back(std::move(Row));
+        Fail(S.error().message());
         continue;
       }
       Row.Ok = true;
@@ -216,7 +228,7 @@ Result<RecoveryReport> MonitorDaemon::start() {
 
       auto NewShard = std::make_shared<Shard>();
       NewShard->Name = Tenant;
-      NewShard->MinSize = MinSize;
+      NewShard->MinSize = *MinSize;
       NewShard->KbPath = KbPath;
       NewShard->MetaPath = MetaPath;
       NewShard->Session =
@@ -247,7 +259,7 @@ Result<RecoveryReport> MonitorDaemon::start() {
 
   for (unsigned I = 0; I != Options.Workers; ++I)
     WorkerThreads.emplace_back([this] { workerLoop(); });
-  if (Options.WatchdogPollMs != 0 && Options.Workers != 0)
+  if (Options.Workers != 0)
     WatchdogThread = std::thread([this] { watchdogLoop(); });
   return Recovery;
 }
@@ -390,8 +402,7 @@ void MonitorDaemon::workerLoop() {
 
 void MonitorDaemon::watchdogLoop() {
   while (!WatchdogStop.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(Options.WatchdogPollMs));
+    std::this_thread::sleep_for(WatchdogPoll);
     Clock::time_point Now = Clock::now();
     std::lock_guard<std::mutex> Lock(WatchMu);
     for (auto It = Watched.begin(); It != Watched.end();) {
@@ -696,23 +707,24 @@ Result<void> MonitorDaemon::flushLocked(Shard &S) {
   ANOSY_OBS_SPAN_ARG(Span, "tenant", S.Name);
   std::string KbText = S.Session->exportKnowledgeBase();
   std::string MetaText = "min-size " + std::to_string(S.MinSize) + "\n";
-  for (unsigned Attempt = 0; Attempt != std::max(1u, Options.FlushAttempts);
-       ++Attempt) {
+  for (unsigned Attempt = 0; Attempt != FlushAttempts; ++Attempt) {
     if (Attempt != 0) {
       Stat.FlushRetries.fetch_add(1, std::memory_order_relaxed);
       ANOSY_OBS_COUNT("anosyd_flush_retries_total",
                       "KB flush attempts retried after transient faults", 1);
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          Options.RetryBackoffMs << (Attempt - 1)));
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(RetryBackoffMs << (Attempt - 1)));
     }
     // A service-flush fault models a crash between serialize and write:
     // the destination keeps its previous valid contents.
     if (faults::armed() && faults::shouldFail(FaultSite::ServiceFlush))
       continue;
-    auto W = writeKnowledgeBaseFileAtomic(S.KbPath, KbText);
-    if (!W)
-      continue; // Torn write (kb-write fault or I/O error): retry.
+    // Sidecar first: a crash between the two renames leaves either no KB
+    // (the tenant is not recovered) or a KB beside its policy, never a KB
+    // without one.
     if (auto WM = writeKnowledgeBaseFileAtomic(S.MetaPath, MetaText); !WM)
+      continue; // Torn write (kb-write fault or I/O error): retry.
+    if (auto W = writeKnowledgeBaseFileAtomic(S.KbPath, KbText); !W)
       continue;
     S.Dirty = false;
     Stat.Flushes.fetch_add(1, std::memory_order_relaxed);
@@ -724,8 +736,7 @@ Result<void> MonitorDaemon::flushLocked(Shard &S) {
   ANOSY_OBS_COUNT("anosyd_flush_failures_total",
                   "KB flushes that failed after every retry", 1);
   return Error(ErrorCode::Other,
-               "flush failed after " +
-                   std::to_string(std::max(1u, Options.FlushAttempts)) +
+               "flush failed after " + std::to_string(FlushAttempts) +
                    " attempts for tenant '" + S.Name + "'");
 }
 

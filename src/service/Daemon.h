@@ -37,14 +37,16 @@
 ///    watchdog thread force-expires wedged registrations at deadline via
 ///    SolverBudget::expireNow.
 ///  * Lifecycle: start() salvages every tenant KB in the data directory
-///    (kill -9 mid-write recovers to a verified state); drain() stops
-///    intake, runs the backlog dry, joins workers, and flushes every
-///    dirty KB with the atomic temp+fsync+rename writer, retrying
-///    transient faults with backoff.
+///    (kill -9 mid-write recovers to a verified state); a KB whose policy
+///    sidecar is missing or malformed fails that tenant closed. drain()
+///    stops intake, runs the backlog dry, joins workers, and flushes
+///    every dirty tenant (sidecar, then KB) with the atomic
+///    temp+fsync+rename writer, retrying transient faults with backoff.
 ///
-/// Workers = 0 selects manual-pump mode: no threads, pump() executes the
-/// backlog on the caller — the fully deterministic configuration the unit
-/// tests pin shed counts and deadline behavior with.
+/// Workers = 0 selects manual-pump mode: no threads and no watchdog,
+/// pump() executes the backlog on the caller — the fully deterministic
+/// configuration the unit tests pin shed counts and deadline behavior
+/// with.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -146,12 +148,6 @@ struct DaemonOptions {
   unsigned Workers = 2;
   /// Deadline applied to requests that do not carry their own; 0 = none.
   uint64_t DefaultDeadlineMs = 0;
-  /// Watchdog poll period; 0 disables the watchdog thread.
-  uint64_t WatchdogPollMs = 2;
-  /// Total flush attempts per KB write (transient-fault retries).
-  unsigned FlushAttempts = 3;
-  /// Base backoff between flush attempts, doubled per retry.
-  uint64_t RetryBackoffMs = 1;
   TenantQuotas Quotas;
   /// Base options for every tenant session (budgets, retry policy, ...).
   /// Each session registers serially on the worker serving its tenant;
@@ -171,8 +167,10 @@ public:
 
   /// Salvages every `<tenant>.akb` under DataDir (damaged records
   /// resynthesize, lost records drop — see createFromKnowledgeBase),
-  /// then spawns workers and the watchdog. Per-tenant salvage failures
-  /// are reported, not fatal: the daemon serves what it recovered.
+  /// then spawns workers and the watchdog. A tenant whose KB is
+  /// unreadable, or whose `<tenant>.meta` policy sidecar is missing or
+  /// malformed, is not served. Per-tenant salvage failures are reported,
+  /// not fatal: the daemon serves what it recovered.
   Result<RecoveryReport> start();
 
   /// The front door. Always returns a future that resolves — to an

@@ -65,14 +65,13 @@ using PredicateRef = std::shared_ptr<const Predicate>;
 
 /// The query predicate: wraps a boolean-sorted expression; box evaluation
 /// is abstract interval evaluation. Expressions large enough to pay for
-/// compilation (compile/CompiledEval.h) get a tape — cached process-wide —
-/// and box probes run the tape instead of tree-walking.
+/// compilation (compile/CompiledEval.h) get a tape, compiled by this call,
+/// and box probes run the tape instead of tree-walking. Build it once per
+/// query and reuse it: every call compiles afresh.
 PredicateRef exprPredicate(ExprRef E);
 
-/// As above, but with a tape the caller already compiled (registration
-/// caches tapes on QueryInfo so per-session rebuilds skip the cache
-/// lookup). A null \p Tape means tree-walk unconditionally — the
-/// differential oracle's path.
+/// As above, but with a tape the caller already compiled. A null \p Tape
+/// means tree-walk unconditionally — the differential oracle's path.
 PredicateRef exprPredicate(ExprRef E, TapeRef Tape);
 
 /// Constant predicate.

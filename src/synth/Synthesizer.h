@@ -150,10 +150,10 @@ private:
   ExprRef Query;
   SynthOptions Options;
   Box Bounds; ///< The schema's full box.
-  /// The query compiled to an interval-eval tape at construction (null =
-  /// tree-walk, for queries below MinCompileTreeSize). Both synthesis
-  /// arms reuse it, so one registration compiles the query exactly once.
-  TapeRef QueryTape;
+  /// The query as a solver predicate, built once at construction (with a
+  /// tape when the query reaches MinCompileTreeSize). Every synthesis arm
+  /// reuses it, so one Synthesizer compiles the query exactly once.
+  PredicateRef QueryPred;
 };
 
 } // namespace anosy

@@ -2,23 +2,18 @@
 
 #include "verify/RefinementChecker.h"
 
-#include "compile/CompiledEval.h"
-
 #include "obs/Instrument.h"
 
 using namespace anosy;
 
-RefinementChecker::RefinementChecker(const Schema &InS, ExprRef InQuery,
+RefinementChecker::RefinementChecker(const Schema &InS, ExprRef Query,
                                      uint64_t MaxSolverNodes,
                                      SolverBudget *InSessionBudget,
                                      uint64_t InDeadlineMs)
-    : S(InS), Query(std::move(InQuery)), Bounds(Box::top(InS)),
-      MaxSolverNodes(MaxSolverNodes), SessionBudget(InSessionBudget),
-      DeadlineMs(InDeadlineMs),
-      QueryTape(getOrCompileTape(this->Query)) {
-  assert(this->Query && this->Query->isBoolSorted() &&
-         "refinement checking needs a boolean query");
-}
+    : S(InS), Bounds(Box::top(InS)), MaxSolverNodes(MaxSolverNodes),
+      SessionBudget(InSessionBudget), DeadlineMs(InDeadlineMs),
+      // exprPredicate asserts that the query is non-null and boolean.
+      QueryPred(exprPredicate(std::move(Query))) {}
 
 Certificate
 RefinementChecker::checkForallObligation(const std::string &Obligation,
@@ -66,7 +61,7 @@ CertificateBundle RefinementChecker::checkIndSets(const IndSets<D> &Sets,
                                                   ApproxKind Kind) const {
   ANOSY_OBS_SPAN(Span, "anosy.verify.indsets");
   uint64_t NodesBefore = NodesUsed;
-  PredicateRef Q = exprPredicate(Query, QueryTape);
+  const PredicateRef &Q = QueryPred;
   PredicateRef NotQ = notPredicate(Q);
   PredicateRef InT = memberPredicate(Sets.TrueSet);
   PredicateRef InF = memberPredicate(Sets.FalseSet);
@@ -110,7 +105,7 @@ CertificateBundle RefinementChecker::checkPosterior(const D &Prior,
                                                     const D &PostTrue,
                                                     const D &PostFalse,
                                                     ApproxKind Kind) const {
-  PredicateRef Q = exprPredicate(Query, QueryTape);
+  const PredicateRef &Q = QueryPred;
   PredicateRef NotQ = notPredicate(Q);
   PredicateRef InPrior = memberPredicate(Prior);
   PredicateRef InT = memberPredicate(PostTrue);

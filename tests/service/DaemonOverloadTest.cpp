@@ -48,7 +48,6 @@ TEST(DaemonOverload, TwiceCapacityBurstShedsExactlyTheExcess) {
   // of timing.
   DaemonOptions Opt;
   Opt.Workers = 0;
-  Opt.WatchdogPollMs = 0;
   Opt.QueueCapacity = 8;
   MonitorDaemon Daemon(Opt);
   ASSERT_TRUE(Daemon.start().ok());
@@ -78,7 +77,6 @@ TEST(DaemonOverload, DeterministicAcrossRuns) {
   auto Run = [](uint64_t Seed) {
     DaemonOptions Opt;
     Opt.Workers = 0;
-    Opt.WatchdogPollMs = 0;
     Opt.QueueCapacity = 8;
     MonitorDaemon Daemon(Opt);
     EXPECT_TRUE(Daemon.start().ok());
@@ -150,7 +148,6 @@ TEST(DaemonOverload, ChaosGateNeverViolatesTheContract) {
     faults::reset();
     DaemonOptions Opt2 = Opt;
     Opt2.Workers = 0;
-    Opt2.WatchdogPollMs = 0;
     MonitorDaemon Fresh(Opt2);
     auto Rec = Fresh.start();
     ASSERT_TRUE(Rec.ok()) << "seed " << Seed;
@@ -168,7 +165,6 @@ TEST(DaemonOverload, DeadlinesHonoredUnderBacklog) {
   // without executing; fresh requests still serve.
   DaemonOptions Opt;
   Opt.Workers = 0;
-  Opt.WatchdogPollMs = 0;
   Opt.QueueCapacity = 32;
   MonitorDaemon Daemon(Opt);
   ASSERT_TRUE(Daemon.start().ok());

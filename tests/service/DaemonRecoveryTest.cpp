@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 using namespace anosy;
@@ -83,7 +84,6 @@ std::string freshDir(const std::string &Name) {
 DaemonOptions dirOptions(const std::string &Dir) {
   DaemonOptions Opt;
   Opt.Workers = 0;
-  Opt.WatchdogPollMs = 0;
   Opt.DataDir = Dir;
   return Opt;
 }
@@ -127,6 +127,25 @@ std::vector<bool> seedTenants(MonitorDaemon &D) {
     Answers.push_back(A.BoolValue);
   }
   return Answers;
+}
+
+/// Seeds all three tenants into a fresh \p Name directory, drains, then
+/// overwrites alpha's policy sidecar with \p Meta (or deletes it when
+/// unset). Returns the directory.
+std::string seedThenEditAlphaSidecar(const std::string &Name,
+                                     const std::optional<std::string> &Meta) {
+  std::string Dir = freshDir(Name);
+  {
+    MonitorDaemon D(dirOptions(Dir));
+    EXPECT_TRUE(D.start().ok());
+    (void)seedTenants(D);
+    EXPECT_EQ(D.drain().FlushFailures, 0u);
+  }
+  if (Meta)
+    spit(Dir + "/alpha.meta", *Meta);
+  else
+    EXPECT_TRUE(std::filesystem::remove(Dir + "/alpha.meta"));
+  return Dir;
 }
 
 } // namespace
@@ -264,4 +283,61 @@ TEST(DaemonRecovery, UnreadableKbIsReportedNotFatal) {
             ResponseStatus::Ok);
   EXPECT_EQ(Fresh.call(makeDowngrade(Tenants[0])).Status,
             ResponseStatus::Error);
+}
+
+TEST(DaemonRecovery, BadPolicySidecarFailsTenantClosed) {
+  // A KB must not come back under no policy. A missing sidecar, a letter
+  // O for a zero, and an int64 overflow each fail alpha alone, with an
+  // error naming the sidecar; alpha is then an unknown tenant while beta
+  // and gamma keep answering.
+  const std::optional<std::string> Metas[] = {
+      std::nullopt, "min-size 1O0\n",
+      "min-size 123456789012345678901234567890\n"};
+  for (const std::optional<std::string> &Meta : Metas) {
+    SCOPED_TRACE(Meta.value_or("(missing)"));
+    std::string Dir = seedThenEditAlphaSidecar("anosyd_meta_bad", Meta);
+    MonitorDaemon Fresh(dirOptions(Dir));
+    auto Rec = Fresh.start();
+    ASSERT_TRUE(Rec.ok());
+    EXPECT_EQ(Rec->TenantsRecovered, 2u);
+    EXPECT_EQ(Rec->TenantsFailed, 1u);
+    for (const RecoveredTenant &T : Rec->Tenants) {
+      EXPECT_EQ(T.Ok, T.Tenant != "alpha") << T.Tenant;
+      if (T.Tenant == "alpha") {
+        EXPECT_NE(T.Error.find("alpha.meta"), std::string::npos) << T.Error;
+      }
+    }
+    ServiceResponse A = Fresh.call(makeDowngrade(Tenants[0]));
+    EXPECT_EQ(A.Status, ResponseStatus::Error);
+    EXPECT_NE(A.Detail.find("unknown tenant"), std::string::npos) << A.Detail;
+    for (size_t I = 1; I != 3; ++I)
+      EXPECT_EQ(Fresh.call(makeDowngrade(Tenants[I])).Status,
+                ResponseStatus::Ok)
+          << Tenants[I].Name;
+  }
+}
+
+TEST(DaemonRecovery, PolicySidecarSetsRecoveredPolicy) {
+  // alpha answers `mid` at x = 50 with a 31-secret posterior: refused
+  // under `size > 100`, admitted with no policy (-1).
+  struct Case {
+    const char *Meta;
+    std::optional<int64_t> MinSize;
+    ResponseStatus Answer;
+  };
+  for (const Case &C : {Case{"min-size 100\n", 100, ResponseStatus::Refused},
+                        Case{"min-size -1\n", std::nullopt,
+                             ResponseStatus::Ok}}) {
+    SCOPED_TRACE(C.Meta);
+    std::string Dir = seedThenEditAlphaSidecar("anosyd_meta_policy", C.Meta);
+    MonitorDaemon Fresh(dirOptions(Dir));
+    auto Rec = Fresh.start();
+    ASSERT_TRUE(Rec.ok());
+    EXPECT_EQ(Rec->TenantsRecovered, 3u);
+    EXPECT_EQ(Rec->TenantsFailed, 0u);
+    const AnosySession<Box> *Alpha = Fresh.tenantSession("alpha");
+    ASSERT_NE(Alpha, nullptr);
+    EXPECT_EQ(Alpha->tracker().policy().MinSize, C.MinSize);
+    EXPECT_EQ(Fresh.call(makeDowngrade(Tenants[0])).Status, C.Answer);
+  }
 }

@@ -45,7 +45,6 @@ classify band = if x < 20 then 0 else if x < 40 then 1 else 2
 DaemonOptions pumpOptions(size_t QueueCapacity = 16) {
   DaemonOptions Opt;
   Opt.Workers = 0;
-  Opt.WatchdogPollMs = 0;
   Opt.QueueCapacity = QueueCapacity;
   return Opt;
 }
