@@ -129,18 +129,13 @@ void writeDegradationJson(const std::string &Path,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  // Deadline 0 is the unlimited baseline; the sweep then tightens from
-  // generous to hostile. On fast hosts the small problems finish inside
-  // even the 1 ms bucket (the deadline is checked at coarse node
-  // granularity, so short runs complete untouched — that is the point:
-  // degradation only engages when work would actually overrun).
-  // Two sweeps share the unlimited baseline row. The wall-clock sweep
-  // measures the production knob; on a fast host B1–B5 finish inside
-  // even the 1 ms bucket (deadlines are checked at coarse node
-  // granularity, so short runs complete untouched — that is the
-  // point: degradation only engages when work would actually overrun).
-  // The node-cap sweep makes the degradation ladder fire
-  // deterministically so the coverage column is meaningful everywhere.
+  // Deadline 0 is the unlimited baseline; two sweeps share it. The
+  // wall-clock sweep tightens from generous to hostile and measures the
+  // production knob: every charge reads the clock, so a run degrades
+  // only when it would overrun its deadline, and one that fits
+  // completes untouched. The node-cap sweep makes the degradation ladder
+  // fire deterministically so the coverage column is meaningful
+  // everywhere.
   const uint64_t Deadlines[] = {100, 20, 5, 1};
   const uint64_t NodeCaps[] = {2000, 500, 100};
   unsigned Runs = parseRuns(Argc, Argv, 3);

@@ -96,7 +96,6 @@ std::string statsJson(const DaemonStats &S) {
   Out += ",\"bottom\":" + std::to_string(S.Bottom);
   Out += ",\"deadline_expired\":" + std::to_string(S.DeadlineExpired);
   Out += ",\"errors\":" + std::to_string(S.Errors);
-  Out += ",\"watchdog_aborts\":" + std::to_string(S.WatchdogAborts);
   Out += ",\"admit_skips\":" + std::to_string(S.AdmitSkips);
   Out += ",\"flushes\":" + std::to_string(S.Flushes);
   Out += ",\"flush_retries\":" + std::to_string(S.FlushRetries);

@@ -29,14 +29,12 @@ uint64_t anosy::attemptBudget(uint64_t Base, unsigned Attempt) {
 
 std::unique_ptr<SolverBudget>
 anosy::makeSessionBudget(const SessionOptions &O) {
-  if (O.MaxSessionNodes == 0 && O.DeadlineMs == 0 &&
-      O.WatchdogBudget == nullptr)
+  if (O.MaxSessionNodes == 0 && O.DeadlineMs == 0)
     return nullptr;
   auto B = std::make_unique<SolverBudget>(
       O.MaxSessionNodes != 0 ? O.MaxSessionNodes : UINT64_MAX);
   if (O.DeadlineMs != 0)
     B->setDeadlineAfterMs(O.DeadlineMs);
-  B->Parent = O.WatchdogBudget;
   return B;
 }
 
@@ -114,9 +112,8 @@ anosy::runLadder(const std::string &Name, const SessionOptions &O,
       Last.Undecided ? DegradationReason::VerificationUndecided
                      : DegradationReason::SynthesisExhausted,
       Out.Passes, FellBack, Last.Err->message()};
-  // Split the machine-readable code: only a wall-clock (or watchdog)
-  // expiry maps to the deadline code — node caps and injected faults
-  // stay "budget".
+  // Split the machine-readable code: only a wall-clock expiry maps to
+  // the deadline code — node caps and injected faults stay "budget".
   Out.Degradation->DeadlineExpired =
       SessionBudget != nullptr && SessionBudget->deadlineExpired();
   return Out;

@@ -98,8 +98,8 @@ struct SessionOptions {
   /// classifier, attempt, and verification pass. 0 = unlimited.
   uint64_t MaxSessionNodes = 0;
   /// Session-wide wall-clock deadline in milliseconds, armed when
-  /// creation starts. 0 = none. Checked inside the solver's budget
-  /// charge at coarse granularity (SolverBudget::DeadlineCheckNodes).
+  /// creation starts. 0 = none. Every solver charge reads the clock
+  /// while it is armed, so a run stops at the first node past it.
   uint64_t DeadlineMs = 0;
   /// Retry-then-degrade policy (see RetryPolicy).
   RetryPolicy Retry;
@@ -124,14 +124,6 @@ struct SessionOptions {
   /// disables caching entirely (the default; sessions behave exactly as
   /// before).
   ArtifactCache *Cache = nullptr;
-  /// External budget chained *above* the session budget (borrowed, never
-  /// owned; may outlive nothing — the caller keeps it alive for the whole
-  /// creation). The anosyd watchdog points this at a per-request abort
-  /// handle so a wedged registration can be expired from outside
-  /// (SolverBudget::expireNow); expiry only forces the degradation
-  /// ladder, never an unsound answer. Setting it arms a session budget
-  /// even when MaxSessionNodes and DeadlineMs are 0.
-  SolverBudget *WatchdogBudget = nullptr;
 };
 
 // The domain-independent half of registration (AnosySession.cpp).
@@ -141,8 +133,8 @@ struct SessionOptions {
 uint64_t attemptBudget(uint64_t Base, unsigned Attempt);
 
 /// The session-wide budget every per-call budget chains to; null when
-/// \p O asks for no node cap, deadline or watchdog, so capless sessions
-/// skip the parent check in charge().
+/// \p O asks for no node cap or deadline, so capless sessions skip the
+/// parent check in charge().
 std::unique_ptr<SolverBudget> makeSessionBudget(const SessionOptions &O);
 
 /// The certificates of the ⊥ fallback: both ind. sets are empty, so the
@@ -386,8 +378,7 @@ private:
                                    uint64_t MaxNodes, bool Chained,
                                    uint64_t &NodesOut) const {
     RefinementChecker Checker(M.schema(), Body, MaxNodes,
-                              Chained ? Options.Synth.SessionBudget : nullptr,
-                              Chained ? Options.Synth.DeadlineMs : 0);
+                              Chained ? Options.Synth.SessionBudget : nullptr);
     CertificateBundle B = Checker.checkIndSets(Ind, ApproxKind::Under);
     NodesOut += Checker.solverNodesUsed();
     return B;

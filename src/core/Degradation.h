@@ -60,7 +60,7 @@ const char *degradationReasonName(DegradationReason R);
 /// by the service queue — it never appears on a session's own records.
 enum class ReasonCode {
   None,               ///< not degraded: a full verified artifact
-  Deadline,           ///< wall-clock deadline expired (or watchdog abort)
+  Deadline,           ///< wall-clock deadline expired
   Budget,             ///< node budget exhausted before the deadline
   Shed,               ///< load-shed by a bounded service queue
   StaticallyRejected, ///< anosy-lint admission rejected before synthesis
@@ -82,9 +82,9 @@ struct QueryDegradation {
   /// false: a partial but machine-checked artifact was kept.
   bool FellBack = false;
   std::string Detail;
-  /// Set when the session budget's wall-clock deadline (or an external
-  /// watchdog abort) — not the node cap — stopped this query. Splits
-  /// SynthesisExhausted into the `deadline` vs `budget` reason codes.
+  /// Set when the session budget's wall-clock deadline — not the node
+  /// cap — stopped this query. Splits SynthesisExhausted into the
+  /// `deadline` vs `budget` reason codes.
   bool DeadlineExpired = false;
 
   /// The machine-readable code for this record.

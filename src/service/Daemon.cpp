@@ -25,8 +25,8 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// How often the watchdog scans in-flight deadlines.
-constexpr std::chrono::milliseconds WatchdogPoll{2};
+/// Longest tenant name a Register may carry.
+constexpr size_t MaxTenantNameBytes = 64;
 /// Total attempts per tenant flush (transient-fault retries).
 constexpr unsigned FlushAttempts = 3;
 /// Backoff before the first flush retry, doubled per retry.
@@ -93,6 +93,18 @@ std::optional<int64_t> parseMetaMinSize(std::string_view Text) {
   return parseInt64(Text);
 }
 
+/// A tenant name becomes a file stem under the data directory, so it is
+/// 1–64 bytes of [A-Za-z0-9_-]: no separator, no dot, nothing that can
+/// leave the directory or hide in it.
+bool validTenantName(std::string_view Name) {
+  if (Name.empty() || Name.size() > MaxTenantNameBytes)
+    return false;
+  return std::all_of(Name.begin(), Name.end(), [](char C) {
+    return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') ||
+           (C >= '0' && C <= '9') || C == '_' || C == '-';
+  });
+}
+
 KnowledgePolicy<Box> policyForMinSize(int64_t MinSize) {
   return MinSize >= 0 ? minSizePolicy<Box>(MinSize) : permissivePolicy<Box>();
 }
@@ -153,7 +165,6 @@ DaemonStats MonitorDaemon::stats() const {
   Out.Bottom = Stat.Bottom.load(std::memory_order_relaxed);
   Out.DeadlineExpired = Stat.DeadlineExpired.load(std::memory_order_relaxed);
   Out.Errors = Stat.Errors.load(std::memory_order_relaxed);
-  Out.WatchdogAborts = Stat.WatchdogAborts.load(std::memory_order_relaxed);
   Out.AdmitSkips = Stat.AdmitSkips.load(std::memory_order_relaxed);
   Out.Flushes = Stat.Flushes.load(std::memory_order_relaxed);
   Out.FlushRetries = Stat.FlushRetries.load(std::memory_order_relaxed);
@@ -235,9 +246,8 @@ Result<RecoveryReport> MonitorDaemon::start() {
           std::make_unique<AnosySession<Box>>(S.takeValue());
       if (Row.DamagedRecords != 0) {
         // Repair the on-disk KB from the resynthesized artifacts right
-        // away; a failed repair leaves Dirty for the drain flush.
+        // away; the drain flush retries a failed repair.
         std::lock_guard<std::mutex> Lock(NewShard->ExecMu);
-        NewShard->Dirty = true;
         (void)flushLocked(*NewShard);
       }
       installShard(NewShard);
@@ -259,8 +269,6 @@ Result<RecoveryReport> MonitorDaemon::start() {
 
   for (unsigned I = 0; I != Options.Workers; ++I)
     WorkerThreads.emplace_back([this] { workerLoop(); });
-  if (Options.Workers != 0)
-    WatchdogThread = std::thread([this] { watchdogLoop(); });
   return Recovery;
 }
 
@@ -303,9 +311,9 @@ std::future<ServiceResponse> MonitorDaemon::submit(ServiceRequest R) {
 
   std::shared_ptr<Shard> S;
   if (R.Kind == RequestKind::Register) {
-    if (R.Tenant.empty()) {
+    if (!validTenantName(R.Tenant)) {
       RejectNow(ResponseStatus::Error, ReasonCode::None,
-                "register requires a tenant name");
+                "invalid tenant name: expected 1-64 bytes of [A-Za-z0-9_-]");
       return Fut;
     }
     if (findShard(R.Tenant) != nullptr) {
@@ -398,39 +406,6 @@ void MonitorDaemon::resumeWorkers() { Queue.setPaused(false); }
 void MonitorDaemon::workerLoop() {
   while (auto Item = Queue.pop())
     executeItem(std::move(*Item));
-}
-
-void MonitorDaemon::watchdogLoop() {
-  while (!WatchdogStop.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(WatchdogPoll);
-    Clock::time_point Now = Clock::now();
-    std::lock_guard<std::mutex> Lock(WatchMu);
-    for (auto It = Watched.begin(); It != Watched.end();) {
-      if (Now >= It->second.Deadline) {
-        // Abort the wedged operation: the expired latch makes its next
-        // budget charge refuse, which forces the degradation ladder.
-        It->second.Handle->expireNow();
-        Stat.WatchdogAborts.fetch_add(1, std::memory_order_relaxed);
-        ANOSY_OBS_COUNT("anosyd_watchdog_aborts_total",
-                        "Wedged operations expired by the watchdog", 1);
-        It = Watched.erase(It);
-      } else {
-        ++It;
-      }
-    }
-  }
-}
-
-void MonitorDaemon::watchBudget(uint64_t Id,
-                                std::shared_ptr<SolverBudget> Handle,
-                                Clock::time_point Deadline) {
-  std::lock_guard<std::mutex> Lock(WatchMu);
-  Watched.emplace(Id, WatchedOp{std::move(Handle), Deadline});
-}
-
-void MonitorDaemon::unwatchBudget(uint64_t Id) {
-  std::lock_guard<std::mutex> Lock(WatchMu);
-  Watched.erase(Id);
 }
 
 void MonitorDaemon::finishResponse(ServiceResponse &Resp,
@@ -546,18 +521,12 @@ ServiceResponse MonitorDaemon::executeRegister(const WorkItem &Item) {
     SOpt.MaxSessionNodes = Options.Quotas.MaxSessionNodes;
 
   // Deadline propagation (request → SolverBudget): whatever deadline
-  // remains after queueing becomes the session deadline, and the abort
-  // handle above the session budget lets the watchdog expire a wedged
-  // synthesis from outside.
-  auto AbortHandle = std::make_shared<SolverBudget>(UINT64_MAX);
-  SOpt.WatchdogBudget = AbortHandle.get();
-  if (Item.HasDeadline) {
+  // remains after queueing becomes the session deadline, which every
+  // solver charge of the registration checks.
+  if (Item.HasDeadline)
     SOpt.DeadlineMs = remainingMs(Item.Deadline);
-    watchBudget(Item.Id, AbortHandle, Item.Deadline);
-  }
   auto S = AnosySession<Box>::create(std::move(*M),
                                      policyForMinSize(Item.Req.MinSize), SOpt);
-  unwatchBudget(Item.Id);
   if (!S) {
     Resp.Status = ResponseStatus::Error;
     Resp.Detail = "registration failed: " + S.error().message();
@@ -588,9 +557,6 @@ ServiceResponse MonitorDaemon::executeRegister(const WorkItem &Item) {
   for (const QueryDegradation &Q : S->degradation().Queries)
     Resp.Degraded.push_back({Q.Query, Q.code(), Q.FellBack});
   NewShard->Session = std::make_unique<AnosySession<Box>>(S.takeValue());
-  // Keep the watchdog handle alive as long as the session: the session
-  // budget chains to it as a parent.
-  NewShard->AbortHandle = std::move(AbortHandle);
 
   if (!installShard(NewShard)) {
     Resp.Status = ResponseStatus::Error;
@@ -606,7 +572,6 @@ ServiceResponse MonitorDaemon::executeRegister(const WorkItem &Item) {
 
   if (!Options.DataDir.empty()) {
     std::lock_guard<std::mutex> Lock(NewShard->ExecMu);
-    NewShard->Dirty = true;
     if (auto W = flushLocked(*NewShard); !W) {
       // Tolerated: the tenant serves from memory; the drain flush (or an
       // explicit Flush request) retries persistence.
@@ -687,7 +652,6 @@ ServiceResponse MonitorDaemon::executeQuery(const WorkItem &Item, Shard &S) {
 ServiceResponse MonitorDaemon::executeFlush(const WorkItem &Item, Shard &S) {
   ServiceResponse Resp;
   std::lock_guard<std::mutex> Lock(S.ExecMu);
-  S.Dirty = true;
   if (auto W = flushLocked(S)) {
     Resp.Status = ResponseStatus::Ok;
   } else {
@@ -699,10 +663,8 @@ ServiceResponse MonitorDaemon::executeFlush(const WorkItem &Item, Shard &S) {
 }
 
 Result<void> MonitorDaemon::flushLocked(Shard &S) {
-  if (S.KbPath.empty()) {
-    S.Dirty = false;
+  if (S.KbPath.empty())
     return {}; // In-memory daemon: nothing to persist.
-  }
   ANOSY_OBS_SPAN(Span, "anosyd.flush");
   ANOSY_OBS_SPAN_ARG(Span, "tenant", S.Name);
   std::string KbText = S.Session->exportKnowledgeBase();
@@ -726,7 +688,6 @@ Result<void> MonitorDaemon::flushLocked(Shard &S) {
       continue; // Torn write (kb-write fault or I/O error): retry.
     if (auto W = writeKnowledgeBaseFileAtomic(S.KbPath, KbText); !W)
       continue;
-    S.Dirty = false;
     Stat.Flushes.fetch_add(1, std::memory_order_relaxed);
     ANOSY_OBS_COUNT("anosyd_flushes_total",
                     "Tenant KBs flushed to the data directory", 1);
@@ -754,9 +715,6 @@ DrainReport MonitorDaemon::drain() {
   WorkerThreads.clear();
   if (Options.Workers == 0)
     Backlog = pump();
-  WatchdogStop.store(true, std::memory_order_relaxed);
-  if (WatchdogThread.joinable())
-    WatchdogThread.join();
 
   DrainReport Rep;
   Rep.Drained = Backlog;
@@ -770,7 +728,6 @@ DrainReport MonitorDaemon::drain() {
     std::lock_guard<std::mutex> Lock(S->ExecMu);
     if (S->KbPath.empty())
       continue;
-    S->Dirty = true; // Final flush persists every tenant, dirty or not.
     if (flushLocked(*S))
       ++Rep.TenantsFlushed;
     else

@@ -25,28 +25,30 @@
 ///    one tenant observe *some* sequential-attacker interleaving — the
 ///    serialized semantics "Assume but Verify"-style concurrent monitors
 ///    reduce to — and knowledge tracking stays sound.
-///  * Front door: Register requests are parsed and lint-admitted before
-///    they may queue; per-tenant quotas (in-flight, session nodes, KB
-///    bytes) bound each tenant's resource share.
+///  * Front door: a Register's tenant name must be 1–64 bytes of
+///    [A-Za-z0-9_-] (it names the tenant's files), and its module is
+///    parsed and lint-admitted before it may queue; per-tenant quotas
+///    (in-flight, session nodes, KB bytes) bound each tenant's resource
+///    share.
 ///  * Bounded queue: push refuses when full; refusals become Overloaded
 ///    responses (ReasonCode::Shed) — deterministic load shedding, never
 ///    producer blocking.
 ///  * Deadlines: each request's deadline is stamped at accept; queue wait
 ///    counts against it (expired items answer ⊥/deadline unexecuted) and
-///    registrations propagate the remainder into their SolverBudget. A
-///    watchdog thread force-expires wedged registrations at deadline via
-///    SolverBudget::expireNow.
+///    registrations propagate the remainder into their session budget,
+///    whose every solver charge reads the clock, so a registration stops
+///    at the first node past its deadline.
 ///  * Lifecycle: start() salvages every tenant KB in the data directory
 ///    (kill -9 mid-write recovers to a verified state); a KB whose policy
 ///    sidecar is missing or malformed fails that tenant closed. drain()
 ///    stops intake, runs the backlog dry, joins workers, and flushes
-///    every dirty tenant (sidecar, then KB) with the atomic
-///    temp+fsync+rename writer, retrying transient faults with backoff.
+///    every tenant (sidecar, then KB) with the atomic temp+fsync+rename
+///    writer, retrying transient faults with backoff.
 ///
-/// Workers = 0 selects manual-pump mode: no threads and no watchdog,
-/// pump() executes the backlog on the caller — the fully deterministic
-/// configuration the unit tests pin shed counts and deadline behavior
-/// with.
+/// The worker threads are the daemon's only threads. Workers = 0 selects
+/// manual-pump mode: no threads, pump() executes the backlog on the
+/// caller — the fully deterministic configuration the unit tests pin
+/// shed counts and deadline behavior with.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -121,7 +123,6 @@ struct DaemonStats {
   uint64_t Bottom = 0;
   uint64_t DeadlineExpired = 0;
   uint64_t Errors = 0;
-  uint64_t WatchdogAborts = 0;
   uint64_t AdmitSkips = 0;
   uint64_t Flushes = 0;
   uint64_t FlushRetries = 0;
@@ -167,7 +168,7 @@ public:
 
   /// Salvages every `<tenant>.akb` under DataDir (damaged records
   /// resynthesize, lost records drop — see createFromKnowledgeBase),
-  /// then spawns workers and the watchdog. A tenant whose KB is
+  /// then spawns the workers. A tenant whose KB is
   /// unreadable, or whose `<tenant>.meta` policy sidecar is missing or
   /// malformed, is not served. Per-tenant salvage failures are reported,
   /// not fatal: the daemon serves what it recovered.
@@ -188,8 +189,8 @@ public:
   size_t pump(size_t MaxItems = SIZE_MAX);
 
   /// Graceful drain (the SIGTERM path): stop intake, run the backlog
-  /// dry, join workers and watchdog, flush every tenant KB (atomic
-  /// write + fsync, retry with backoff). Idempotent.
+  /// dry, join the workers, flush every tenant KB (atomic write + fsync,
+  /// retry with backoff). Idempotent.
   DrainReport drain();
 
   bool draining() const {
@@ -225,13 +226,7 @@ private:
     /// tenant runs under this mutex (sequential-attacker semantics).
     std::mutex ExecMu;
     std::unique_ptr<AnosySession<Box>> Session;
-    /// Watchdog abort handle chained above the session budget as its
-    /// parent; kept alive for the shard's lifetime so the session's raw
-    /// Parent pointer never dangles.
-    std::shared_ptr<SolverBudget> AbortHandle;
     std::atomic<unsigned> InFlight{0};
-    /// KB changed since the last successful flush (guarded by ExecMu).
-    bool Dirty = false;
   };
 
   std::shared_ptr<Shard> findShard(const std::string &Tenant) const;
@@ -239,7 +234,6 @@ private:
   bool installShard(std::shared_ptr<Shard> S);
 
   void workerLoop();
-  void watchdogLoop();
   void executeItem(WorkItem Item);
   ServiceResponse executeRegister(const WorkItem &Item);
   ServiceResponse executeQuery(const WorkItem &Item, Shard &S);
@@ -248,11 +242,6 @@ private:
   /// retry-with-backoff; caller holds S.ExecMu.
   Result<void> flushLocked(Shard &S);
   void finishResponse(ServiceResponse &Resp, const WorkItem &Item);
-
-  /// Registers a registration's abort handle with the watchdog.
-  void watchBudget(uint64_t Id, std::shared_ptr<SolverBudget> Handle,
-                   std::chrono::steady_clock::time_point Deadline);
-  void unwatchBudget(uint64_t Id);
 
   DaemonOptions Options;
   RequestQueue Queue;
@@ -265,15 +254,6 @@ private:
   std::map<std::string, std::shared_ptr<Shard>> Tenants;
 
   std::vector<std::thread> WorkerThreads;
-  std::thread WatchdogThread;
-  std::atomic<bool> WatchdogStop{false};
-
-  struct WatchedOp {
-    std::shared_ptr<SolverBudget> Handle;
-    std::chrono::steady_clock::time_point Deadline;
-  };
-  std::mutex WatchMu;
-  std::map<uint64_t, WatchedOp> Watched;
 
   std::atomic<uint64_t> NextId{0};
   std::atomic<bool> Started{false};
@@ -284,8 +264,8 @@ private:
 
   struct AtomicStats {
     std::atomic<uint64_t> Accepted{0}, Shed{0}, Ok{0}, Refused{0},
-        Bottom{0}, DeadlineExpired{0}, Errors{0}, WatchdogAborts{0},
-        AdmitSkips{0}, Flushes{0}, FlushRetries{0}, FlushFailures{0};
+        Bottom{0}, DeadlineExpired{0}, Errors{0}, AdmitSkips{0},
+        Flushes{0}, FlushRetries{0}, FlushFailures{0};
   };
   mutable AtomicStats Stat;
 };

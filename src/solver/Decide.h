@@ -28,7 +28,6 @@
 #include "solver/Predicate.h"
 #include "support/FaultInjection.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -37,24 +36,25 @@ namespace anosy {
 
 /// Work budget shared across solver calls: split-node counts unified with
 /// an optional monotonic wall-clock deadline and an optional *parent*
-/// budget (the per-session cumulative cap of DESIGN.md §6). Charging is
-/// thread-safe because the anosyd watchdog expires budgets from its own
-/// thread while a worker charges them: the counter saturates at the limit
-/// instead of wrapping, so an exhausted budget can never flip back to
-/// "not exhausted" no matter how many callers race on it.
+/// budget (the per-session cumulative cap of DESIGN.md §6). A budget is
+/// created and charged on one thread — the one running the searches it
+/// bounds — so its fields are plain; the counter still saturates instead
+/// of wrapping, so an exhausted budget can never flip back to "not
+/// exhausted".
 ///
-/// The deadline is checked at coarse granularity — only on charges that
-/// cross a DeadlineCheckNodes boundary — so the clock syscall stays off
-/// the per-node hot path. With no deadline set the behavior (and hence
-/// every synthesized artifact) is exactly the deterministic node-count
-/// contract; with a deadline, *which* node trips it is timing-dependent,
-/// but the only possible outcome is the sound "Exhausted" verdict that
-/// callers already treat as "don't know" (never a wrong answer).
+/// While a deadline is armed, every charge reads the steady clock; with
+/// none, no charge does. A node's cost grows with the query, so no fixed
+/// interval of nodes between two reads would bound the overrun. With no
+/// deadline set the behavior (and hence every synthesized artifact) is
+/// exactly the deterministic node-count contract; with a deadline,
+/// *which* node trips it is timing-dependent, but the only possible
+/// outcome is the sound "Exhausted" verdict that callers already treat as
+/// "don't know" (never a wrong answer).
 struct SolverBudget {
   using Clock = std::chrono::steady_clock;
 
   uint64_t MaxNodes = 200'000'000;
-  std::atomic<uint64_t> NodesUsed{0};
+  uint64_t NodesUsed = 0;
   /// Session-wide budget also charged by every charge() here; exhausting
   /// the parent exhausts this budget. Borrowed, never owned.
   SolverBudget *Parent = nullptr;
@@ -63,16 +63,11 @@ struct SolverBudget {
   bool HasDeadline = false;
   /// Latched when the deadline expires or a solver-charge fault is
   /// injected; charge() then refuses everything, like a spent budget.
-  std::atomic<bool> Expired{false};
-  /// Latched only by the deadline check and expireNow() — never by fault
-  /// injection — so callers can tell "out of time" from "out of nodes"
-  /// when mapping degradations to reason codes.
-  std::atomic<bool> DeadlineHit{false};
-
-  /// Deadline-check granularity in nodes. Coarse enough that the clock
-  /// read is amortized to noise, fine enough that a 10ms deadline is
-  /// honored within a few hundred microseconds of abstract evaluation.
-  static constexpr uint64_t DeadlineCheckNodes = 8192;
+  bool Expired = false;
+  /// Latched only by the deadline check — never by fault injection — so
+  /// callers can tell "out of time" from "out of nodes" when mapping
+  /// degradations to reason codes.
+  bool DeadlineHit = false;
 
   SolverBudget() = default;
   explicit SolverBudget(uint64_t Max) : MaxNodes(Max) {}
@@ -85,66 +80,42 @@ struct SolverBudget {
     HasDeadline = true;
   }
 
-  /// Latches Expired from outside the solver — the daemon watchdog
-  /// aborting a wedged query at its deadline. Exactly the latch the
-  /// deadline check itself sets, so the only observable outcome is the
-  /// sound "Exhausted" verdict; any budget chained below this one (via
-  /// Parent) refuses its next charge.
-  void expireNow() {
-    DeadlineHit.store(true, std::memory_order_relaxed);
-    Expired.store(true, std::memory_order_relaxed);
-  }
-
-  uint64_t used() const { return NodesUsed.load(std::memory_order_relaxed); }
+  uint64_t used() const { return NodesUsed; }
   bool expired() const {
-    return Expired.load(std::memory_order_relaxed) ||
-           (Parent != nullptr && Parent->expired());
+    return Expired || (Parent != nullptr && Parent->expired());
   }
   /// True iff the expiry came from a wall-clock deadline (here or in a
   /// parent), not from node exhaustion or an injected fault.
   bool deadlineExpired() const {
-    return DeadlineHit.load(std::memory_order_relaxed) ||
-           (Parent != nullptr && Parent->deadlineExpired());
+    return DeadlineHit || (Parent != nullptr && Parent->deadlineExpired());
   }
   bool exhausted() const {
-    return used() >= MaxNodes || Expired.load(std::memory_order_relaxed) ||
+    return NodesUsed >= MaxNodes || Expired ||
            (Parent != nullptr && Parent->exhausted());
   }
 
   /// Charges \p N nodes; returns false once the budget is exhausted (node
   /// cap reached, deadline expired, parent exhausted, or an injected
-  /// solver-charge fault). The serial contract is unchanged: the charge
-  /// that reaches MaxNodes is itself rejected. Concurrency-safe: a CAS
-  /// loop adds with saturation at UINT64_MAX, and nothing is added once
-  /// the limit has been reached, so NodesUsed can never wrap past MaxNodes
-  /// back into legal range.
+  /// solver-charge fault). The charge that reaches MaxNodes is itself
+  /// rejected, and nothing is added once the limit has been reached.
   bool charge(uint64_t N = 1) {
     if (Parent != nullptr && !Parent->charge(N))
       return false;
-    if (Expired.load(std::memory_order_relaxed))
+    if (Expired)
       return false;
     if (faults::armed() && faults::shouldFail(FaultSite::SolverCharge)) {
-      Expired.store(true, std::memory_order_relaxed);
+      Expired = true;
       return false;
     }
-    uint64_t Cur = NodesUsed.load(std::memory_order_relaxed);
-    while (true) {
-      if (Cur >= MaxNodes)
-        return false;
-      uint64_t Next = Cur > UINT64_MAX - N ? UINT64_MAX : Cur + N;
-      if (NodesUsed.compare_exchange_weak(Cur, Next,
-                                          std::memory_order_relaxed)) {
-        if (HasDeadline &&
-            (Cur == 0 ||
-             Cur / DeadlineCheckNodes != Next / DeadlineCheckNodes) &&
-            Clock::now() >= Deadline) {
-          DeadlineHit.store(true, std::memory_order_relaxed);
-          Expired.store(true, std::memory_order_relaxed);
-          return false;
-        }
-        return Next < MaxNodes;
-      }
+    if (NodesUsed >= MaxNodes)
+      return false;
+    NodesUsed = NodesUsed > UINT64_MAX - N ? UINT64_MAX : NodesUsed + N;
+    if (HasDeadline && Clock::now() >= Deadline) {
+      DeadlineHit = true;
+      Expired = true;
+      return false;
     }
+    return NodesUsed < MaxNodes;
   }
 };
 

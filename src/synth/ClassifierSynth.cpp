@@ -42,8 +42,6 @@ ClassifierSynthesizer::create(const Schema &S, ExprRef Body,
   std::vector<ExistsResult> Found(NumVals);
   SolverBudget Budget(Options.MaxSolverNodes);
   Budget.Parent = Options.SessionBudget;
-  if (Options.DeadlineMs != 0)
-    Budget.setDeadlineAfterMs(Options.DeadlineMs);
   for (size_t I = 0; I != NumVals; ++I) {
     PredicateRef Is =
         exprPredicate(eq(Body, intConst(Range.Lo + static_cast<int64_t>(I))));

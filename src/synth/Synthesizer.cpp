@@ -11,13 +11,11 @@ using namespace anosy;
 
 namespace {
 
-/// Per-call budget wired to the failure-domain options: node cap, parent
-/// session budget, and wall-clock deadline (DESIGN.md §6).
+/// Per-call budget wired to the failure-domain options: node cap and
+/// parent session budget (DESIGN.md §6).
 void initBudget(SolverBudget &B, const SynthOptions &Options) {
   B.MaxNodes = Options.MaxSolverNodes;
   B.Parent = Options.SessionBudget;
-  if (Options.DeadlineMs != 0)
-    B.setDeadlineAfterMs(Options.DeadlineMs);
 }
 
 } // namespace

@@ -49,10 +49,6 @@ struct SynthOptions {
   /// every per-call budget chains to. Borrowed, never owned; nullptr
   /// means the per-call budget stands alone.
   SolverBudget *SessionBudget = nullptr;
-  /// Per-call wall-clock deadline in milliseconds; 0 disables it. With a
-  /// deadline armed, answers are still always sound, but whether a call
-  /// completes or degrades is timing-dependent (DESIGN.md §6).
-  uint64_t DeadlineMs = 0;
   /// Graceful degradation: when the budget or deadline runs out, return
   /// the sound partial artifact instead of a BudgetExhausted error —
   /// ITERSYNTH keeps the k' < k boxes already grown (under), or the

@@ -8,10 +8,9 @@ using namespace anosy;
 
 RefinementChecker::RefinementChecker(const Schema &InS, ExprRef Query,
                                      uint64_t MaxSolverNodes,
-                                     SolverBudget *InSessionBudget,
-                                     uint64_t InDeadlineMs)
+                                     SolverBudget *InSessionBudget)
     : S(InS), Bounds(Box::top(InS)), MaxSolverNodes(MaxSolverNodes),
-      SessionBudget(InSessionBudget), DeadlineMs(InDeadlineMs),
+      SessionBudget(InSessionBudget),
       // exprPredicate asserts that the query is non-null and boolean.
       QueryPred(exprPredicate(std::move(Query))) {}
 
@@ -33,8 +32,6 @@ RefinementChecker::checkForallObligation(const std::string &Obligation,
   SolverBudget Budget;
   Budget.MaxNodes = MaxSolverNodes;
   Budget.Parent = SessionBudget;
-  if (DeadlineMs != 0)
-    Budget.setDeadlineAfterMs(DeadlineMs);
   ForallResult R = checkForall(*P, Over, Budget);
   NodesUsed += Budget.used();
 

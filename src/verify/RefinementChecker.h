@@ -34,16 +34,16 @@ namespace anosy {
 ///
 /// Failure domains (DESIGN.md §6): each obligation gets its own
 /// MaxSolverNodes-sized budget, optionally chained to \p SessionBudget
-/// (the per-session cumulative cap) and bounded by \p DeadlineMs of wall
-/// clock. A budget that runs out yields an *undecided* certificate — no
-/// counterexample, Exhausted set — which callers must not confuse with a
-/// refutation (Certificate::undecided vs Certificate::refuted).
+/// (the per-session cumulative cap, which carries the session's deadline
+/// when one is armed). A budget that runs out yields an *undecided*
+/// certificate — no counterexample, Exhausted set — which callers must
+/// not confuse with a refutation (Certificate::undecided vs
+/// Certificate::refuted).
 class RefinementChecker {
 public:
   RefinementChecker(const Schema &S, ExprRef Query,
                     uint64_t MaxSolverNodes = 200'000'000,
-                    SolverBudget *SessionBudget = nullptr,
-                    uint64_t DeadlineMs = 0);
+                    SolverBudget *SessionBudget = nullptr);
 
   /// Checks an ind. set pair against its Fig. 4 spec.
   template <AbstractDomain D>
@@ -71,7 +71,6 @@ private:
   Box Bounds;
   uint64_t MaxSolverNodes;
   SolverBudget *SessionBudget;
-  uint64_t DeadlineMs;
   /// The query as a solver predicate, built (and its tape compiled) once
   /// at construction; every obligation's predicates share it.
   PredicateRef QueryPred;

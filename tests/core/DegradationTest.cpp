@@ -21,6 +21,19 @@ Module nearbyModule() {
   return M.takeValue();
 }
 
+/// `x + y + x + … <= 25000007` with \p Terms alternating terms: every
+/// solver node evaluates the whole sum, so at 1,000 terms the search's
+/// 2,570 nodes take tens of milliseconds.
+Module longSumModule(unsigned Terms) {
+  std::string Src = "secret S { x: int[0, 100000], y: int[0, 100000] }\n"
+                    "query longsum = x";
+  for (unsigned I = 1; I != Terms; ++I)
+    Src += I % 2 != 0 ? " + y" : " + x";
+  auto M = parseModule(Src + " <= 25000007\n");
+  EXPECT_TRUE(M.ok());
+  return M.takeValue();
+}
+
 Module classifierModule() {
   auto M = parseModule(R"(
     secret Person { age: int[0, 120], zip: int[0, 99] }
@@ -137,6 +150,28 @@ TEST(Degradation, ExpiredDeadlineStillYieldsSoundSession) {
     ASSERT_NE(Art, nullptr);
     EXPECT_TRUE(Art->Certificates.valid());
   }
+}
+
+TEST(Degradation, DeadlineStopsAtTheFirstNodePastIt) {
+  // A 10 ms deadline passes a few hundred nodes into the 1,000-term
+  // sum's search. Every charge reads the clock while a deadline is
+  // armed, so the session stops there, coded `deadline`, instead of
+  // finishing the search.
+  auto Free = AnosySession<Box>::create(longSumModule(1000),
+                                        permissivePolicy<Box>());
+  ASSERT_TRUE(Free.ok()) << Free.error().str();
+  ASSERT_FALSE(Free->degradation().degraded());
+
+  SessionOptions Options;
+  Options.DeadlineMs = 10;
+  auto Timed = AnosySession<Box>::create(longSumModule(1000),
+                                         permissivePolicy<Box>(), Options);
+  ASSERT_TRUE(Timed.ok()) << Timed.error().str();
+  const QueryDegradation *D = Timed->degradation().find("longsum");
+  ASSERT_NE(D, nullptr) << "the deadline never stopped the search";
+  EXPECT_EQ(D->code(), ReasonCode::Deadline);
+  ASSERT_NE(Timed->sessionBudget(), nullptr);
+  EXPECT_LT(Timed->sessionBudget()->used(), Free->stats().SolverNodes);
 }
 
 TEST(Degradation, UnlimitedSessionMatchesLegacyBehavior) {

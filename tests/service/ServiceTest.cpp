@@ -2,7 +2,8 @@
 //
 // Deterministic (manual-pump mode, no threads) tests of the daemon's
 // vocabulary, front door, bounded-queue shedding, deadlines, quotas,
-// machine-readable reason codes, and flush/restart persistence.
+// machine-readable reason codes, and flush/restart persistence, plus one
+// registration deadline met on a worker thread.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <thread>
 
@@ -40,8 +42,8 @@ query high = x >= 30
 classify band = if x < 20 then 0 else if x < 40 then 1 else 2
 )";
 
-/// A daemon in manual-pump mode: no worker or watchdog threads, so every
-/// test observation is deterministic.
+/// A daemon in manual-pump mode: no worker threads, so every test
+/// observation is deterministic.
 DaemonOptions pumpOptions(size_t QueueCapacity = 16) {
   DaemonOptions Opt;
   Opt.Workers = 0;
@@ -223,6 +225,37 @@ TEST(MonitorDaemon, FrontDoorRejections) {
   EXPECT_EQ(NoQ.Status, ResponseStatus::Refused);
 }
 
+TEST(MonitorDaemon, TenantNamesStayInsideTheDataDirectory) {
+  // A tenant name becomes a file stem under the data directory, so a
+  // Register whose name is not 1-64 bytes of [A-Za-z0-9_-] is refused
+  // before its module is parsed: it writes nothing and installs nothing.
+  std::string Root = freshDir("anosyd_tenant_names");
+  DaemonOptions Opt = pumpOptions();
+  Opt.DataDir = Root + "/data";
+  MonitorDaemon D(Opt);
+  ASSERT_TRUE(D.start().ok());
+  for (const std::string &Bad : {std::string("../evil"), std::string("a/b"),
+                                 std::string(".hidden"),
+                                 std::string(65, 'a')}) {
+    ServiceResponse R = D.call(registerRequest(Bad));
+    EXPECT_EQ(R.Status, ResponseStatus::Error) << Bad;
+    EXPECT_NE(R.Detail.find("invalid tenant name"), std::string::npos)
+        << R.Detail;
+  }
+  EXPECT_TRUE(D.tenantNames().empty());
+
+  ServiceResponse Ok = D.call(registerRequest("acme_1-x"));
+  ASSERT_EQ(Ok.Status, ResponseStatus::Ok) << Ok.Detail;
+  EXPECT_EQ(D.tenantNames(), std::vector<std::string>{"acme_1-x"});
+  std::vector<std::string> Files;
+  for (const auto &E : std::filesystem::recursive_directory_iterator(Root))
+    if (!E.is_directory())
+      Files.push_back(std::filesystem::relative(E.path(), Root).string());
+  std::sort(Files.begin(), Files.end());
+  EXPECT_EQ(Files, (std::vector<std::string>{"data/acme_1-x.akb",
+                                             "data/acme_1-x.meta"}));
+}
+
 TEST(MonitorDaemon, QueueFullShedsDeterministically) {
   MonitorDaemon D(pumpOptions(/*QueueCapacity=*/4));
   ASSERT_TRUE(D.start().ok());
@@ -303,6 +336,35 @@ TEST(MonitorDaemon, DeadlineExpiredInQueueAnswersBottom) {
   EXPECT_EQ(Resp.Reason, ReasonCode::Deadline);
   EXPECT_FALSE(Resp.HasBool);
   EXPECT_EQ(D.stats().DeadlineExpired, 1u);
+}
+
+TEST(MonitorDaemon, WorkerRegistrationStopsAtItsDeadline) {
+  // No thread watches a registration: its own solver charges read the
+  // clock. A 200-term sum registers once without a deadline, then again
+  // with a quarter of that time as its deadline: the front door and the
+  // queue stay well inside it (sanitizers slow them down as much as the
+  // solver), and the solver stops on the worker, coded `deadline`.
+  std::string Src = "secret S { x: int[0, 100000], y: int[0, 100000] }\n"
+                    "query longsum = x";
+  for (unsigned I = 1; I != 200; ++I)
+    Src += I % 2 != 0 ? " + y" : " + x";
+  Src += " <= 5000007\n";
+
+  DaemonOptions Opt;
+  Opt.Workers = 1;
+  MonitorDaemon D(Opt);
+  ASSERT_TRUE(D.start().ok());
+  ServiceResponse Free = D.call(registerRequest("free", Src.c_str()));
+  ASSERT_EQ(Free.Status, ResponseStatus::Ok) << Free.Detail;
+  ASSERT_TRUE(Free.Degraded.empty()) << Free.renderJson();
+
+  ServiceRequest R = registerRequest("acme", Src.c_str());
+  R.DeadlineMs = std::max<uint64_t>(1, Free.Seconds * 1000 / 4);
+  ServiceResponse Reg = D.call(std::move(R));
+  ASSERT_EQ(Reg.Status, ResponseStatus::Ok) << Reg.Detail;
+  ASSERT_EQ(Reg.Degraded.size(), 1u) << Reg.renderJson();
+  EXPECT_EQ(Reg.Degraded[0].Name, "longsum");
+  EXPECT_EQ(Reg.Degraded[0].Code, ReasonCode::Deadline) << Reg.renderJson();
 }
 
 // === Reason codes on degraded artifacts (satellite 6) ===================

@@ -7,9 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <thread>
-#include <vector>
 
 using namespace anosy;
 
@@ -24,9 +22,8 @@ TEST(SolverBudget, NodeCapRejectsChargeReachingLimit) {
 }
 
 TEST(SolverBudget, ExpiredDeadlineRejectsFirstCharge) {
-  // A deadline of "now" is already past by the first charge: the Cur == 0
-  // special case checks the clock immediately, so an expired budget is
-  // deterministic — no work happens at all, regardless of granularity.
+  // A deadline of "now" is already past by the first charge, which reads
+  // the clock like every charge does: no work happens at all.
   SolverBudget B;
   B.setDeadlineAfterMs(0);
   EXPECT_FALSE(B.charge());
@@ -34,6 +31,20 @@ TEST(SolverBudget, ExpiredDeadlineRejectsFirstCharge) {
   EXPECT_TRUE(B.exhausted());
   // Latched: still refused later.
   EXPECT_FALSE(B.charge());
+}
+
+TEST(SolverBudget, DeadlinePassingBetweenChargesRefusesTheNext) {
+  // The clock is read on every charge while a deadline is armed, so the
+  // first charge after the deadline trips it — however few nodes came
+  // before.
+  SolverBudget B;
+  B.setDeadlineAfterMs(100);
+  EXPECT_TRUE(B.charge());
+  std::this_thread::sleep_until(B.Deadline);
+  EXPECT_FALSE(B.charge());
+  EXPECT_TRUE(B.deadlineExpired());
+  EXPECT_TRUE(B.exhausted());
+  EXPECT_EQ(B.used(), 2u);
 }
 
 TEST(SolverBudget, FutureDeadlineDoesNotTripEarly) {
@@ -103,35 +114,12 @@ TEST(SolverBudget, DeciderUnaffectedByGenerousDeadline) {
   EXPECT_EQ(NoDeadline.used(), WithDeadline.used());
 }
 
-TEST(SolverBudget, ConcurrentChargesSaturateAtLimit) {
-  // Charging stays thread-safe (the anosyd watchdog reaches budgets from
-  // its own thread). Under concurrent charges exactly MaxNodes - 1
-  // succeed, and the counter saturates at the cap instead of running past
-  // it.
-  SolverBudget Budget(1000);
-  std::atomic<uint64_t> Succeeded{0};
-  std::vector<std::thread> Threads;
-  for (int T = 0; T != 4; ++T)
-    Threads.emplace_back([&] {
-      while (Budget.charge())
-        Succeeded.fetch_add(1);
-      EXPECT_TRUE(Budget.exhausted());
-    });
-  for (std::thread &T : Threads)
-    T.join();
-  EXPECT_EQ(Succeeded.load(), Budget.MaxNodes - 1);
-  EXPECT_EQ(Budget.used(), Budget.MaxNodes);
-  EXPECT_TRUE(Budget.exhausted());
-  EXPECT_FALSE(Budget.charge());
-  EXPECT_EQ(Budget.used(), Budget.MaxNodes); // saturated, no further adds
-}
-
 TEST(SolverBudget, ChargeIsOverflowSafe) {
   // A counter close to UINT64_MAX must saturate, not wrap back below
   // MaxNodes (wrapping NodesUsed would turn an exhausted budget back into
   // "not exhausted").
   SolverBudget Budget(UINT64_MAX);
-  Budget.NodesUsed.store(UINT64_MAX - 5);
+  Budget.NodesUsed = UINT64_MAX - 5;
   EXPECT_FALSE(Budget.charge(10)); // would overflow; clamps to UINT64_MAX
   EXPECT_EQ(Budget.used(), UINT64_MAX);
   EXPECT_TRUE(Budget.exhausted());
@@ -139,7 +127,7 @@ TEST(SolverBudget, ChargeIsOverflowSafe) {
   EXPECT_EQ(Budget.used(), UINT64_MAX);
 
   SolverBudget Small(100);
-  Small.NodesUsed.store(100);
+  Small.NodesUsed = 100;
   EXPECT_FALSE(Small.charge(UINT64_MAX)); // exhausted: nothing is added
   EXPECT_EQ(Small.used(), 100u);
 }
