@@ -56,8 +56,8 @@ template <AbstractDomain D> class KnowledgeTracker {
 public:
   KnowledgeTracker(Schema S, KnowledgePolicy<D> Policy,
                    size_t MaxKnowledgeBoxes = 256)
-      : S(std::move(S)), Policy(std::move(Policy)),
-        MaxKnowledgeBoxes(MaxKnowledgeBoxes) {}
+      : S(std::move(S)), Top(DomainTraits<D>::top(this->S)),
+        Policy(std::move(Policy)), MaxKnowledgeBoxes(MaxKnowledgeBoxes) {}
 
   const Schema &schema() const { return S; }
   const KnowledgePolicy<D> &policy() const { return Policy; }
@@ -89,9 +89,7 @@ public:
   /// first downgrade, per Fig. 2's `fromMaybe T`).
   D knowledgeFor(const Point &Secret) const {
     auto It = Secrets.find(Secret);
-    if (It == Secrets.end())
-      return DomainTraits<D>::top(S);
-    return It->second;
+    return It == Secrets.end() ? Top : It->second;
   }
 
   bool hasTrackedKnowledge(const Point &Secret) const {
@@ -114,8 +112,10 @@ public:
     }
     const QueryInfo<D> &Info = It->second;
 
-    D Prior = knowledgeFor(Secret);
-    auto [PostT, PostF] = Info.approx(Prior);
+    // The prior is met where it is stored; only the answered posterior is
+    // moved back into its slot.
+    Slot Known = locate(Secret);
+    auto [PostT, PostF] = Info.approx(Known.Prior);
     compactKnowledge(PostT, MaxKnowledgeBoxes);
     compactKnowledge(PostF, MaxKnowledgeBoxes);
 
@@ -132,8 +132,7 @@ public:
     }
 
     bool Response = Info.run(Secret);
-    Secrets.insert_or_assign(Secret, Response ? std::move(PostT)
-                                              : std::move(PostF));
+    store(Known, Secret, Response ? std::move(PostT) : std::move(PostF));
     ANOSY_OBS_SPAN_ARG(Span, "decision", "admitted");
     ANOSY_OBS_COUNT("anosy_downgrades_admitted_total",
                     "Downgrades admitted by the knowledge policy", 1);
@@ -169,8 +168,8 @@ public:
                        "to downgrade");
     }
 
-    D Prior = knowledgeFor(Secret);
-    std::vector<OutputIndSet<D>> Posts = Info.approx(Prior);
+    Slot Known = locate(Secret);
+    std::vector<OutputIndSet<D>> Posts = Info.approx(Known.Prior);
     for (OutputIndSet<D> &P : Posts) {
       compactKnowledge(P.Set, MaxKnowledgeBoxes);
       if (!Policy(P.Set)) {
@@ -183,16 +182,17 @@ public:
       }
     }
 
-    ANOSY_OBS_COUNT("anosy_downgrades_admitted_total",
-                    "Downgrades admitted by the knowledge policy", 1);
     int64_t Output = Info.run(Secret);
     for (OutputIndSet<D> &P : Posts)
       if (P.Value == Output) {
-        Secrets.insert_or_assign(Secret, std::move(P.Set));
+        store(Known, Secret, std::move(P.Set));
+        ANOSY_OBS_COUNT("anosy_downgrades_admitted_total",
+                        "Downgrades admitted by the knowledge policy", 1);
         return Output;
       }
     // The concrete output was not among the feasible set: the registered
-    // ind. sets do not describe this classifier.
+    // ind. sets do not describe this classifier, so nothing is admitted
+    // and the knowledge is left as it was.
     return Error(ErrorCode::VerificationFailure,
                  "classifier '" + Name + "' produced unregistered output " +
                      std::to_string(Output));
@@ -202,7 +202,32 @@ public:
   size_t trackedSecretCount() const { return Secrets.size(); }
 
 private:
+  /// Where a secret's knowledge lives: its map position (or the insertion
+  /// hint for an untracked secret) and the prior to meet, which is ⊤ for
+  /// an untracked secret.
+  struct Slot {
+    typename std::map<Point, D>::iterator Pos;
+    bool Tracked;
+    const D &Prior;
+  };
+
+  /// The one map lookup a downgrade makes.
+  Slot locate(const Point &Secret) {
+    auto Pos = Secrets.lower_bound(Secret);
+    bool Tracked = Pos != Secrets.end() && Pos->first == Secret;
+    return {Pos, Tracked, Tracked ? Pos->second : Top};
+  }
+
+  /// Moves an admitted posterior into \p Known's slot.
+  void store(const Slot &Known, const Point &Secret, D &&Post) {
+    if (Known.Tracked)
+      Known.Pos->second = std::move(Post);
+    else
+      Secrets.emplace_hint(Known.Pos, Secret, std::move(Post));
+  }
+
   Schema S;
+  D Top; ///< Fig. 2's `fromMaybe T` for untracked secrets, built once.
   KnowledgePolicy<D> Policy;
   size_t MaxKnowledgeBoxes;
   std::map<Point, D> Secrets;

@@ -4,49 +4,68 @@
 
 using namespace anosy;
 
-Box::Box(std::vector<Interval> InDims) : Dims(std::move(InDims)) {
-  Empty = Dims.empty();
-  for (const Interval &I : Dims)
-    if (I.isEmpty())
-      Empty = true;
+Box Box::withArity(size_t Arity) {
+  assert(Arity <= UINT32_MAX && "arity out of range");
+  Box B;
+  if (Arity > InlineDims)
+    B.Heap = new Interval[Arity];
+  B.N = static_cast<uint32_t>(Arity);
+  return B;
+}
+
+void Box::canonicalize() {
+  Interval *D = data();
+  Empty = N == 0;
+  for (uint32_t I = 0; I != N; ++I)
+    Empty |= D[I].isEmpty();
   if (Empty)
-    for (Interval &I : Dims)
-      I = Interval::empty();
+    std::fill_n(D, N, Interval::empty());
+}
+
+Box::Box(std::vector<Interval> InDims) : Box(withArity(InDims.size())) {
+  std::copy(InDims.begin(), InDims.end(), data());
+  canonicalize();
 }
 
 Box Box::top(const Schema &S) {
-  std::vector<Interval> Dims;
-  Dims.reserve(S.arity());
+  Box B = withArity(S.arity());
+  Interval *D = B.data();
   for (const Field &F : S.fields())
-    Dims.push_back({F.Lo, F.Hi});
-  return Box(std::move(Dims));
+    *D++ = {F.Lo, F.Hi};
+  B.canonicalize();
+  return B;
 }
 
 Box Box::bottom(size_t Arity) {
   assert(Arity > 0 && "secrets have at least one field");
-  return Box(std::vector<Interval>(Arity, Interval::empty()));
+  Box B = withArity(Arity);
+  std::fill_n(B.data(), Arity, Interval::empty());
+  return B;
 }
 
 Box Box::point(const Point &P) {
-  std::vector<Interval> Dims;
-  Dims.reserve(P.size());
+  Box B = withArity(P.size());
+  Interval *D = B.data();
   for (int64_t V : P)
-    Dims.push_back(Interval::point(V));
-  return Box(std::move(Dims));
+    *D++ = Interval::point(V);
+  B.canonicalize();
+  return B;
 }
 
 Box Box::withDim(size_t I, Interval NewDim) const {
-  assert(I < Dims.size() && "dimension out of range");
-  std::vector<Interval> NewDims = Dims;
-  NewDims[I] = NewDim;
-  return Box(std::move(NewDims));
+  assert(I < N && "dimension out of range");
+  Box B = *this;
+  B.data()[I] = NewDim;
+  B.canonicalize();
+  return B;
 }
 
 bool Box::contains(const Point &P) const {
-  if (Empty || P.size() != Dims.size())
+  if (Empty || P.size() != N)
     return false;
-  for (size_t I = 0, E = Dims.size(); I != E; ++I)
-    if (!Dims[I].contains(P[I]))
+  const Interval *D = data();
+  for (uint32_t I = 0; I != N; ++I)
+    if (!D[I].contains(P[I]))
       return false;
   return true;
 }
@@ -54,52 +73,59 @@ bool Box::contains(const Point &P) const {
 bool Box::subsetOf(const Box &O) const {
   if (Empty)
     return true;
-  if (O.Empty || O.Dims.size() != Dims.size())
+  if (O.Empty || O.N != N)
     return false;
-  for (size_t I = 0, E = Dims.size(); I != E; ++I)
-    if (!Dims[I].subsetOf(O.Dims[I]))
+  const Interval *A = data(), *B = O.data();
+  for (uint32_t I = 0; I != N; ++I)
+    if (!A[I].subsetOf(B[I]))
       return false;
   return true;
 }
 
 Box Box::intersect(const Box &O) const {
-  assert(Dims.size() == O.Dims.size() && "arity mismatch");
+  assert(N == O.N && "arity mismatch");
   if (Empty || O.Empty)
-    return bottom(Dims.size());
-  std::vector<Interval> NewDims;
-  NewDims.reserve(Dims.size());
-  for (size_t I = 0, E = Dims.size(); I != E; ++I)
-    NewDims.push_back(Dims[I].intersect(O.Dims[I]));
-  return Box(std::move(NewDims));
+    return bottom(N);
+  Box R = withArity(N);
+  const Interval *A = data(), *B = O.data();
+  Interval *D = R.data();
+  for (uint32_t I = 0; I != N; ++I)
+    D[I] = A[I].intersect(B[I]);
+  R.canonicalize();
+  return R;
 }
 
 Box Box::hull(const Box &O) const {
-  assert(Dims.size() == O.Dims.size() && "arity mismatch");
+  assert(N == O.N && "arity mismatch");
   if (Empty)
     return O;
   if (O.Empty)
     return *this;
-  std::vector<Interval> NewDims;
-  NewDims.reserve(Dims.size());
-  for (size_t I = 0, E = Dims.size(); I != E; ++I)
-    NewDims.push_back(Dims[I].hull(O.Dims[I]));
-  return Box(std::move(NewDims));
+  Box R = withArity(N);
+  const Interval *A = data(), *B = O.data();
+  Interval *D = R.data();
+  for (uint32_t I = 0; I != N; ++I)
+    D[I] = A[I].hull(B[I]);
+  R.canonicalize();
+  return R;
 }
 
 BigCount Box::volume() const {
   if (Empty)
     return BigCount();
   BigCount V(1);
-  for (const Interval &I : Dims)
-    V = V * I.width();
+  const Interval *D = data();
+  for (uint32_t I = 0; I != N; ++I)
+    V = V * D[I].width();
   return V;
 }
 
 bool Box::isUnit() const {
   if (Empty)
     return false;
-  for (const Interval &I : Dims)
-    if (I.Lo != I.Hi)
+  const Interval *D = data();
+  for (uint32_t I = 0; I != N; ++I)
+    if (D[I].Lo != D[I].Hi)
       return false;
   return true;
 }
@@ -107,18 +133,20 @@ bool Box::isUnit() const {
 Point Box::center() const {
   assert(!Empty && "center of empty box");
   Point P;
-  P.reserve(Dims.size());
-  for (const Interval &I : Dims)
-    P.push_back(I.midpoint());
+  P.reserve(N);
+  const Interval *D = data();
+  for (uint32_t I = 0; I != N; ++I)
+    P.push_back(D[I].midpoint());
   return P;
 }
 
 size_t Box::widestDim() const {
   assert(!Empty && "widestDim of empty box");
+  const Interval *D = data();
   size_t Best = 0;
-  BigCount BestWidth = Dims[0].width();
-  for (size_t I = 1, E = Dims.size(); I != E; ++I) {
-    BigCount W = Dims[I].width();
+  BigCount BestWidth = D[0].width();
+  for (uint32_t I = 1; I != N; ++I) {
+    BigCount W = D[I].width();
     if (BestWidth < W) {
       Best = I;
       BestWidth = W;
@@ -136,26 +164,28 @@ std::pair<Box, Box> Box::splitAt(size_t Dim) const {
 }
 
 bool Box::operator==(const Box &O) const {
-  if (Dims.size() != O.Dims.size())
+  if (N != O.N)
     return false;
   if (Empty && O.Empty)
     return true;
   if (Empty != O.Empty)
     return false;
-  for (size_t I = 0, E = Dims.size(); I != E; ++I)
-    if (Dims[I] != O.Dims[I])
+  const Interval *A = data(), *B = O.data();
+  for (uint32_t I = 0; I != N; ++I)
+    if (A[I] != B[I])
       return false;
   return true;
 }
 
 std::string Box::str() const {
   if (Empty)
-    return "<empty/" + std::to_string(Dims.size()) + ">";
+    return "<empty/" + std::to_string(N) + ">";
   std::string Out;
-  for (size_t I = 0, E = Dims.size(); I != E; ++I) {
+  const Interval *D = data();
+  for (uint32_t I = 0; I != N; ++I) {
     if (I != 0)
       Out += " x ";
-    Out += Dims[I].str();
+    Out += D[I].str();
   }
   return Out;
 }

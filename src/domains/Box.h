@@ -23,18 +23,48 @@
 #include "domains/Interval.h"
 #include "expr/Schema.h"
 
+#include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
 namespace anosy {
 
 /// An n-dimensional box of secrets (product of integer intervals).
+///
+/// Boxes of up to InlineDims fields keep their intervals in place, so
+/// copying, meeting or splitting them never allocates; wider boxes own one
+/// heap array. A moved-from box is the 0-ary empty box.
 class Box {
 public:
   Box() = default;
 
   /// Box with the given per-dimension intervals; canonicalizes empties.
   explicit Box(std::vector<Interval> Dims);
+
+  Box(const Box &O) : N(O.N), Empty(O.Empty) {
+    if (N > InlineDims)
+      Heap = new Interval[N];
+    std::copy_n(O.data(), N, data());
+  }
+  Box(Box &&O) noexcept : N(O.N), Empty(O.Empty) {
+    takeStorage(O);
+  }
+  Box &operator=(const Box &O) {
+    if (this != &O)
+      *this = Box(O);
+    return *this;
+  }
+  Box &operator=(Box &&O) noexcept {
+    if (this == &O)
+      return *this;
+    release();
+    N = O.N;
+    Empty = O.Empty;
+    takeStorage(O);
+    return *this;
+  }
+  ~Box() { release(); }
 
   /// The full domain of \p S (the paper's ⊤_I for that secret type).
   static Box top(const Schema &S);
@@ -45,14 +75,13 @@ public:
   /// Smallest box containing the single point \p P.
   static Box point(const Point &P);
 
-  size_t arity() const { return Dims.size(); }
+  size_t arity() const { return N; }
   bool isEmpty() const { return Empty; }
 
   const Interval &dim(size_t I) const {
-    assert(I < Dims.size() && "dimension out of range");
-    return Dims[I];
+    assert(I < N && "dimension out of range");
+    return data()[I];
   }
-  const std::vector<Interval> &dims() const { return Dims; }
 
   /// Returns a copy with dimension \p I replaced by \p NewDim.
   Box withDim(size_t I, Interval NewDim) const;
@@ -64,16 +93,16 @@ public:
   /// Convex hull (smallest box containing both).
   Box hull(const Box &O) const;
 
-  /// True when the boxes share at least one point: a per-dimension overlap
-  /// test that builds no box (same answer as !intersect(O).isEmpty()).
+  /// True when the boxes share at least one point: a branch-free
+  /// per-dimension overlap test that builds no box (same answer as
+  /// !intersect(O).isEmpty()).
   bool intersects(const Box &O) const {
-    assert(Dims.size() == O.Dims.size() && "arity mismatch");
-    if (Empty || O.Empty)
-      return false;
-    for (size_t I = 0, E = Dims.size(); I != E; ++I)
-      if (Dims[I].Hi < O.Dims[I].Lo || O.Dims[I].Hi < Dims[I].Lo)
-        return false;
-    return true;
+    assert(N == O.N && "arity mismatch");
+    const Interval *A = data(), *B = O.data();
+    bool Overlap = !Empty & !O.Empty;
+    for (uint32_t I = 0; I != N; ++I)
+      Overlap &= (A[I].Lo <= B[I].Hi) & (B[I].Lo <= A[I].Hi);
+    return Overlap;
   }
 
   /// Number of secrets in the box (its volume); 0 for empty boxes.
@@ -99,7 +128,41 @@ public:
   std::string str() const;
 
 private:
-  std::vector<Interval> Dims;
+  /// Fields stored in place: every §2 and §6.2 secret and B1 have two.
+  /// A third slot would grow every box from 40 to 56 bytes, and with it
+  /// every include of every posterior a tracker stores.
+  static constexpr uint32_t InlineDims = 2;
+
+  /// A box of \p Arity dimensions whose intervals the caller fills in
+  /// before calling canonicalize().
+  static Box withArity(size_t Arity);
+
+  /// Recomputes Empty from the intervals; an empty box gets canonical
+  /// empty intervals, so equality stays structural.
+  void canonicalize();
+
+  Interval *data() { return N > InlineDims ? Heap : Inline; }
+  const Interval *data() const { return N > InlineDims ? Heap : Inline; }
+
+  void release() {
+    if (N > InlineDims)
+      delete[] Heap;
+  }
+
+  /// Takes \p O's intervals (or its heap array) into this box, whose N
+  /// already equals O.N and which owns no heap array, and leaves \p O the
+  /// 0-ary empty box.
+  void takeStorage(Box &O) {
+    std::memcpy(static_cast<void *>(Inline), O.Inline, sizeof(Inline));
+    O.N = 0;
+    O.Empty = true;
+  }
+
+  union {
+    Interval Inline[InlineDims];
+    Interval *Heap;
+  };
+  uint32_t N = 0;
   bool Empty = true; ///< Default-constructed boxes are 0-ary and empty.
 };
 

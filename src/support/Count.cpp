@@ -7,14 +7,6 @@
 
 using namespace anosy;
 
-static const unsigned __int128 MaxValue = ~static_cast<unsigned __int128>(0);
-
-BigCount BigCount::saturated() {
-  BigCount C;
-  C.Saturated = true;
-  return C;
-}
-
 BigCount BigCount::ofInterval(int64_t Lo, int64_t Hi) {
   if (Lo > Hi)
     return BigCount();
@@ -35,28 +27,6 @@ double BigCount::toDouble() const {
   return std::ldexp(High, 64) + Low;
 }
 
-BigCount BigCount::operator+(const BigCount &O) const {
-  if (Saturated || O.Saturated)
-    return saturated();
-  if (Value > MaxValue - O.Value)
-    return saturated();
-  BigCount C;
-  C.Value = Value + O.Value;
-  return C;
-}
-
-BigCount BigCount::operator*(const BigCount &O) const {
-  if (isZero() || O.isZero())
-    return BigCount();
-  if (Saturated || O.Saturated)
-    return saturated();
-  if (Value > MaxValue / O.Value)
-    return saturated();
-  BigCount C;
-  C.Value = Value * O.Value;
-  return C;
-}
-
 BigCount BigCount::operator-(const BigCount &O) const {
   if (Saturated)
     return saturated();
@@ -65,14 +35,6 @@ BigCount BigCount::operator-(const BigCount &O) const {
   BigCount C;
   C.Value = Value - O.Value;
   return C;
-}
-
-bool BigCount::operator<(const BigCount &O) const {
-  if (Saturated)
-    return false;
-  if (O.Saturated)
-    return true;
-  return Value < O.Value;
 }
 
 std::string BigCount::str() const {

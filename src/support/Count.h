@@ -37,7 +37,11 @@ public:
   }
 
   /// The saturated ("at least 2^127") cardinality.
-  static BigCount saturated();
+  static BigCount saturated() {
+    BigCount C;
+    C.Saturated = true;
+    return C;
+  }
 
   /// Cardinality of the integer interval [Lo, Hi]; empty if Lo > Hi.
   static BigCount ofInterval(int64_t Lo, int64_t Hi);
@@ -58,8 +62,27 @@ public:
   /// A double approximation (used only for reporting %-differences).
   double toDouble() const;
 
-  BigCount operator+(const BigCount &O) const;
-  BigCount operator*(const BigCount &O) const;
+  /// Sums and products saturate on overflow past 2^128 - 1. They are
+  /// inline over the overflow builtins, so sizing a posterior (a product
+  /// per box, a sum per family) never divides.
+  BigCount operator+(const BigCount &O) const {
+    BigCount C;
+    if (Saturated || O.Saturated ||
+        __builtin_add_overflow(Value, O.Value, &C.Value))
+      return saturated();
+    return C;
+  }
+
+  /// Zero times anything, saturated included, is zero.
+  BigCount operator*(const BigCount &O) const {
+    if (isZero() || O.isZero())
+      return BigCount();
+    BigCount C;
+    if (Saturated || O.Saturated ||
+        __builtin_mul_overflow(Value, O.Value, &C.Value))
+      return saturated();
+    return C;
+  }
 
   /// Saturating subtraction clamped at zero. Subtracting from a saturated
   /// count stays saturated (we no longer know the true value).
@@ -71,7 +94,9 @@ public:
   bool operator!=(const BigCount &O) const { return !(*this == O); }
 
   /// Total order; every finite value compares below saturated.
-  bool operator<(const BigCount &O) const;
+  bool operator<(const BigCount &O) const {
+    return !Saturated && (O.Saturated || Value < O.Value);
+  }
   bool operator<=(const BigCount &O) const { return *this < O || *this == O; }
   bool operator>(const BigCount &O) const { return O < *this; }
   bool operator>=(const BigCount &O) const { return O <= *this; }

@@ -3,6 +3,8 @@
 #include "core/AnosySession.h"
 
 #include "expr/Parser.h"
+#include "obs/Metrics.h"
+#include "obs/Obs.h"
 #include "solver/ModelCounter.h"
 
 #include <gtest/gtest.h>
@@ -115,4 +117,42 @@ TEST(ClassifierDowngrade, TrackerLevelSoundness) {
       inBoxPredicate(S->tracker().knowledgeFor(Secret)),
       notPredicate(SameBand));
   EXPECT_TRUE(countSatExact(*Escapee, Box::top(M.schema())).isZero());
+}
+
+TEST(ClassifierDowngrade, UnregisteredOutputAdmitsNothing) {
+  // A classifier whose registered ind. sets miss one output (a KB record
+  // or hand-built ClassifierInfo can lack one): a secret that produces
+  // that output fails verification, is not counted as admitted, and
+  // leaves its knowledge as it was.
+  obs::ScopedEnable Obs(true);
+  auto S = AnosySession<Box>::create(bandModule(), minSizePolicy<Box>(100));
+  ASSERT_TRUE(S.ok()) << S.error().str();
+  ClassifierInfo<Box> Band = *S->tracker().classifierInfo("band");
+  ASSERT_EQ(Band.Ind.size(), 3u);
+  Band.Ind.erase(Band.Ind.begin() + 1); // the adult band, output 1
+
+  // A permissive tracker, so that only the missing ind. set can refuse.
+  KnowledgeTracker<Box> T(S->tracker().schema(), permissivePolicy<Box>());
+  T.registerQuery(*S->tracker().queryInfo("adultish"));
+  T.registerClassifier(Band);
+  const Point Secret{30, 42};
+  ASSERT_TRUE(T.downgrade(Secret, "adultish").ok());
+  const Box Before = T.knowledgeFor(Secret);
+
+  obs::Counter &AdmittedTotal = obs::MetricsRegistry::global().counter(
+      "anosy_downgrades_admitted_total");
+  const uint64_t AdmittedBefore = AdmittedTotal.value();
+  auto R = T.downgradeClassifier(Secret, "band");
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.error().code(), ErrorCode::VerificationFailure);
+  EXPECT_EQ(AdmittedTotal.value(), AdmittedBefore);
+  EXPECT_EQ(T.knowledgeFor(Secret), Before);
+  EXPECT_EQ(T.trackedSecretCount(), 1u);
+
+  // The same refusal on an untracked secret stores nothing.
+  auto Fresh = T.downgradeClassifier({40, 7}, "band");
+  ASSERT_FALSE(Fresh.ok());
+  EXPECT_EQ(Fresh.error().code(), ErrorCode::VerificationFailure);
+  EXPECT_EQ(AdmittedTotal.value(), AdmittedBefore);
+  EXPECT_FALSE(T.hasTrackedKnowledge({40, 7}));
 }

@@ -100,7 +100,7 @@ TEST(Box, IntersectsAgreesWithIntersectRandomized) {
     }
   };
   for (int Trial = 0; Trial != 2000; ++Trial) {
-    size_t Arity = static_cast<size_t>(R.range(1, 3));
+    size_t Arity = static_cast<size_t>(R.range(1, 6));
     std::vector<Interval> DA, DB;
     for (size_t D = 0; D != Arity; ++D) {
       DA.push_back(RandInterval());
@@ -115,6 +115,112 @@ TEST(Box, IntersectsAgreesWithIntersectRandomized) {
   EXPECT_FALSE(box(0, 3, 0, 3).intersects(Box::bottom(2)));
   EXPECT_TRUE(box(0, 3, 0, 3).intersects(box(3, 5, 3, 5))); // one corner
   EXPECT_FALSE(box(0, 3, 0, 3).intersects(box(4, 5, 0, 3)));
+}
+
+// Two fields live inline; anything wider goes to the heap. The box must
+// stay small, since the tracker stores one per posterior include.
+static_assert(sizeof(Box) <= 48, "Box outgrew its inline storage budget");
+
+TEST(Box, WideBoxOperations) {
+  for (size_t Arity : {3u, 5u}) {
+    std::vector<Interval> Outer, Inner;
+    for (size_t D = 0; D != Arity; ++D) {
+      Outer.push_back({0, 10 + static_cast<int64_t>(D)});
+      Inner.push_back({2, 4});
+    }
+    const Box O(Outer), I(Inner);
+    ASSERT_EQ(O.arity(), Arity);
+    const size_t Last = Arity - 1;
+
+    Box W = O.withDim(Last, {3, 4});
+    EXPECT_EQ(W.dim(Last), (Interval{3, 4}));
+    for (size_t D = 0; D != Last; ++D)
+      EXPECT_EQ(W.dim(D), O.dim(D));
+    EXPECT_EQ(O.withDim(1, Interval::empty()), Box::bottom(Arity));
+
+    auto [L, R] = O.splitAt(Last);
+    EXPECT_EQ(L.volume() + R.volume(), O.volume());
+    EXPECT_TRUE(L.intersect(R).isEmpty());
+    EXPECT_FALSE(L.intersects(R));
+    EXPECT_EQ(L.hull(R), O);
+    EXPECT_EQ(L.dim(Last), (Interval{0, O.dim(Last).midpoint()}));
+
+    EXPECT_TRUE(I.subsetOf(O));
+    EXPECT_FALSE(O.subsetOf(I));
+    EXPECT_TRUE(Box::bottom(Arity).subsetOf(I));
+    EXPECT_FALSE(I.subsetOf(Box::bottom(Arity)));
+
+    Box Far = I.withDim(0, {20, 30});
+    EXPECT_EQ(I.hull(Far).dim(0), (Interval{2, 30}));
+    EXPECT_EQ(I.hull(Box::bottom(Arity)), I);
+    EXPECT_EQ(O.intersect(I), I);
+    EXPECT_TRUE(I.intersect(Far).isEmpty());
+
+    EXPECT_EQ(Box(Outer), O);
+    EXPECT_NE(I, O);
+    EXPECT_NE(O, W);
+    EXPECT_NE(O, Box::bottom(Arity));
+    EXPECT_NE(Box::bottom(Arity), Box::bottom(2));
+    EXPECT_EQ(Box(Inner).withDim(2, {9, 1}), Box::bottom(Arity));
+  }
+}
+
+TEST(Box, CopyAndMoveAcrossInlineAndHeapStorage) {
+  const Box Narrow = box(0, 3, 5, 9);
+  const Box Wide({{0, 1}, {2, 3}, {4, 5}, {6, 7}, {8, 9}});
+
+  Box A(Wide), B(Narrow);
+  EXPECT_EQ(A, Wide);
+  EXPECT_EQ(B, Narrow);
+  A = Narrow; // heap <- inline
+  EXPECT_EQ(A, Narrow);
+  B = Wide; // inline <- heap
+  EXPECT_EQ(B, Wide);
+  B = Wide; // heap <- heap of the same arity
+  EXPECT_EQ(B, Wide);
+
+  Box C(std::move(B)); // heap move
+  EXPECT_EQ(C, Wide);
+  EXPECT_EQ(B.arity(), 0u); // moved-from: the 0-ary empty box
+  EXPECT_TRUE(B.isEmpty());
+  Box D(std::move(A)); // inline move
+  EXPECT_EQ(D, Narrow);
+  EXPECT_EQ(A.arity(), 0u);
+
+  A = std::move(C); // moved-from <- heap
+  EXPECT_EQ(A, Wide);
+  A = std::move(D); // heap <- inline
+  EXPECT_EQ(A, Narrow);
+  D = Wide;
+  D = std::move(A); // heap <- inline, by move
+  EXPECT_EQ(D, Narrow);
+  A = Wide;
+  B = Narrow;
+  B = std::move(A); // inline <- heap, by move
+  EXPECT_EQ(B, Wide);
+
+  Box &SelfW = B;
+  B = SelfW;
+  EXPECT_EQ(B, Wide);
+  B = std::move(SelfW);
+  EXPECT_EQ(B, Wide);
+  Box &SelfN = D;
+  D = SelfN;
+  D = std::move(SelfN);
+  EXPECT_EQ(D, Narrow);
+
+  // A copy owns its intervals.
+  Box E = Wide;
+  E = E.withDim(4, {0, 0});
+  EXPECT_NE(E, Wide);
+  EXPECT_EQ(Wide.dim(4), (Interval{8, 9}));
+
+  // Vector growth relocates boxes of both kinds.
+  std::vector<Box> V;
+  for (int I = 0; I != 40; ++I)
+    V.push_back(I % 2 ? Wide : Narrow);
+  for (int I = 0; I != 40; ++I)
+    EXPECT_EQ(V[I], I % 2 ? Wide : Narrow);
 }
 
 TEST(Box, Hull) {

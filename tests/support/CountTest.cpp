@@ -85,3 +85,34 @@ TEST(BigCount, ToDoubleLargeValues) {
   BigCount C = BigCount(1) * BigCount(INT64_MAX);
   EXPECT_NEAR(C.toDouble(), 9.22e18, 1e17);
 }
+
+// The edges of the 128-bit range: exact right up to 2^128 - 1, saturated
+// one past it, and zero absorbing even a saturated factor.
+TEST(BigCount, ExactUpTo128Bits) {
+  const std::string Max128 = "340282366920938463463374607431768211455";
+  const BigCount Pow64 = BigCount::ofInterval(INT64_MIN, INT64_MAX);
+  const BigCount Pow64Minus1 = BigCount::ofInterval(INT64_MIN, INT64_MAX - 1);
+  ASSERT_EQ(Pow64Minus1.str(), "18446744073709551615");
+
+  BigCount Product = Pow64Minus1 * (Pow64 + BigCount(1));
+  EXPECT_FALSE(Product.isSaturated());
+  EXPECT_EQ(Product.str(), Max128);
+  EXPECT_TRUE((Pow64 * Pow64).isSaturated());
+  EXPECT_TRUE((Product + BigCount(1)).isSaturated());
+  EXPECT_TRUE((BigCount(1) + Product).isSaturated());
+
+  const BigCount Pow127 = Pow64 * BigCount(INT64_C(1) << 62) * BigCount(2);
+  ASSERT_EQ(Pow127.str(), "170141183460469231731687303715884105728");
+  BigCount Sum = Pow127 + (Pow127 - BigCount(1));
+  EXPECT_FALSE(Sum.isSaturated());
+  EXPECT_EQ(Sum.str(), Max128);
+  EXPECT_TRUE((Pow127 + Pow127).isSaturated());
+}
+
+TEST(BigCount, ZeroTimesSaturatedIsZero) {
+  const BigCount Sat = BigCount::saturated();
+  EXPECT_TRUE((BigCount() * Sat).isZero());
+  EXPECT_TRUE((Sat * BigCount()).isZero());
+  EXPECT_TRUE((Sat * BigCount(1)).isSaturated());
+  EXPECT_TRUE((BigCount() + Sat).isSaturated());
+}
