@@ -9,10 +9,10 @@
 /// fig5a suite (Mardziel B1–B5): cold registration (empty cache, full
 /// synthesis, then publish) against warm registration (a *fresh*
 /// ArtifactCache instance over the primed directory, modeling a new
-/// process attaching to a shared cache dir). Writes BENCH_cache.json
-/// next to the binary.
+/// process attaching to a shared cache dir). Prints one row per problem
+/// and the suite verdict; the CI cache-coherence job runs it.
 ///
-/// Hard bar (the ISSUE 10 acceptance gate, enforced with exit(1)):
+/// Hard bar (enforced with exit 1):
 ///   - every warm registration performs zero solver nodes — all the
 ///     work is the refinement re-verify, which is counted separately in
 ///     CacheVerifyNodes and never touches the BnB solver;
@@ -67,7 +67,6 @@ struct Registration {
   uint64_t SolverNodes = 0;
   uint64_t VerifyNodes = 0;
   uint64_t CacheHits = 0;
-  uint64_t CacheMisses = 0;
 };
 
 Registration registerOnce(const BenchmarkProblem &P, ArtifactCache &Cache) {
@@ -83,62 +82,12 @@ Registration registerOnce(const BenchmarkProblem &P, ArtifactCache &Cache) {
   R.SolverNodes = S->stats().SolverNodes;
   R.VerifyNodes = S->stats().CacheVerifyNodes;
   R.CacheHits = S->stats().CacheHits;
-  R.CacheMisses = S->stats().CacheMisses;
   return R;
 }
-
-/// Per-problem cold/warm medians plus the contract-relevant counters
-/// from the last run of each phase (deterministic on an idle host).
-struct CacheSample {
-  std::string Problem;
-  unsigned Queries = 0;
-  double ColdSeconds = 0;
-  double WarmSeconds = 0;
-  uint64_t ColdSolverNodes = 0;
-  uint64_t WarmSolverNodes = 0;
-  uint64_t WarmVerifyNodes = 0;
-  uint64_t WarmCacheHits = 0;
-  bool Ok = false; ///< Created + zero warm solver nodes + all-queries hit.
-};
 
 double medianOf(std::vector<double> Xs) {
   std::sort(Xs.begin(), Xs.end());
   return Xs[Xs.size() / 2];
-}
-
-void writeCacheJson(const std::string &Path,
-                    const std::vector<CacheSample> &Samples,
-                    double SuiteCold, double SuiteWarm, bool BarPassed) {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (F == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", Path.c_str());
-    return;
-  }
-  std::fprintf(F, "{\n  \"samples\": [\n");
-  for (size_t I = 0; I != Samples.size(); ++I) {
-    const CacheSample &S = Samples[I];
-    double Ratio = S.ColdSeconds > 0 ? S.WarmSeconds / S.ColdSeconds : 0;
-    std::fprintf(F,
-                 "    {\"problem\": \"%s\", \"queries\": %u, "
-                 "\"cold_s\": %.6f, \"warm_s\": %.6f, \"warm_ratio\": %.4f, "
-                 "\"cold_solver_nodes\": %llu, \"warm_solver_nodes\": %llu, "
-                 "\"warm_verify_nodes\": %llu, \"warm_cache_hits\": %llu, "
-                 "\"ok\": %s}%s\n",
-                 S.Problem.c_str(), S.Queries, S.ColdSeconds, S.WarmSeconds,
-                 Ratio, static_cast<unsigned long long>(S.ColdSolverNodes),
-                 static_cast<unsigned long long>(S.WarmSolverNodes),
-                 static_cast<unsigned long long>(S.WarmVerifyNodes),
-                 static_cast<unsigned long long>(S.WarmCacheHits),
-                 S.Ok ? "true" : "false",
-                 I + 1 == Samples.size() ? "" : ",");
-  }
-  std::fprintf(F,
-               "  ],\n  \"suite\": {\"cold_median_s\": %.6f, "
-               "\"warm_median_s\": %.6f, \"warm_ratio\": %.4f, "
-               "\"bar_warm_under_20pct\": %s}\n}\n",
-               SuiteCold, SuiteWarm, SuiteCold > 0 ? SuiteWarm / SuiteCold : 0,
-               BarPassed ? "true" : "false");
-  std::fclose(F);
 }
 
 } // namespace
@@ -147,14 +96,13 @@ int main(int Argc, char **Argv) {
   unsigned Runs = parseRuns(Argc, Argv, 5);
   const std::string Root = "anosy_cache_bench.tmp";
 
-  std::vector<CacheSample> Samples;
+  std::vector<double> Colds, Warms;
   bool AllOk = true;
   std::printf("%-16s %8s %12s %12s %8s %14s %14s\n", "problem", "queries",
               "cold_s", "warm_s", "ratio", "cold_nodes", "warm_verify");
   for (const BenchmarkProblem &P : mardzielBenchmarks()) {
-    CacheSample S;
-    S.Problem = P.Id + " " + P.Name;
-    S.Queries = static_cast<unsigned>(P.M.queries().size());
+    std::string Problem = P.Id + " " + P.Name;
+    unsigned Queries = static_cast<unsigned>(P.M.queries().size());
 
     // Cold: scrub the directory before every run so each one pays full
     // synthesis and the publish path. The last run leaves the directory
@@ -167,8 +115,7 @@ int main(int Argc, char **Argv) {
       Cold = registerOnce(P, Cache);
       ColdWalls.push_back(Cold.WallSeconds);
     }
-    S.ColdSeconds = medianOf(ColdWalls);
-    S.ColdSolverNodes = Cold.SolverNodes;
+    double ColdSeconds = medianOf(ColdWalls);
 
     // Warm: a fresh ArtifactCache per run over the primed directory —
     // exactly what a new process sharing the cache dir would see.
@@ -179,43 +126,33 @@ int main(int Argc, char **Argv) {
       Warm = registerOnce(P, Cache);
       WarmWalls.push_back(Warm.WallSeconds);
     }
-    S.WarmSeconds = medianOf(WarmWalls);
-    S.WarmSolverNodes = Warm.SolverNodes;
-    S.WarmVerifyNodes = Warm.VerifyNodes;
-    S.WarmCacheHits = Warm.CacheHits;
-    S.Ok = Cold.Created && Warm.Created && Warm.SolverNodes == 0 &&
-           Warm.CacheHits == S.Queries;
-    if (!S.Ok) {
+    double WarmSeconds = medianOf(WarmWalls);
+    if (!Cold.Created || !Warm.Created || Warm.SolverNodes != 0 ||
+        Warm.CacheHits != Queries) {
       AllOk = false;
       std::fprintf(stderr,
                    "FAIL %s: warm registration must hit on every query with "
                    "zero solver nodes (hits %llu/%u, solver nodes %llu)\n",
-                   S.Problem.c_str(),
-                   static_cast<unsigned long long>(Warm.CacheHits), S.Queries,
+                   Problem.c_str(),
+                   static_cast<unsigned long long>(Warm.CacheHits), Queries,
                    static_cast<unsigned long long>(Warm.SolverNodes));
     }
     std::printf("%-16s %8u %12.6f %12.6f %8.4f %14llu %14llu\n",
-                S.Problem.c_str(), S.Queries, S.ColdSeconds, S.WarmSeconds,
-                S.ColdSeconds > 0 ? S.WarmSeconds / S.ColdSeconds : 0,
-                static_cast<unsigned long long>(S.ColdSolverNodes),
-                static_cast<unsigned long long>(S.WarmVerifyNodes));
-    Samples.push_back(S);
+                Problem.c_str(), Queries, ColdSeconds, WarmSeconds,
+                ColdSeconds > 0 ? WarmSeconds / ColdSeconds : 0,
+                static_cast<unsigned long long>(Cold.SolverNodes),
+                static_cast<unsigned long long>(Warm.VerifyNodes));
+    Colds.push_back(ColdSeconds);
+    Warms.push_back(WarmSeconds);
   }
   scrubCacheDir(Root);
 
-  std::vector<double> Colds, Warms;
-  for (const CacheSample &S : Samples) {
-    Colds.push_back(S.ColdSeconds);
-    Warms.push_back(S.WarmSeconds);
-  }
   double SuiteCold = medianOf(Colds);
   double SuiteWarm = medianOf(Warms);
   bool BarPassed = AllOk && SuiteCold > 0 && SuiteWarm < 0.20 * SuiteCold;
-  writeCacheJson("BENCH_cache.json", Samples, SuiteCold, SuiteWarm, BarPassed);
   std::printf("suite: cold %.6f s, warm %.6f s, ratio %.4f (bar < 0.20)\n",
               SuiteCold, SuiteWarm,
               SuiteCold > 0 ? SuiteWarm / SuiteCold : 0);
-  std::printf("wrote BENCH_cache.json (%zu samples)\n", Samples.size());
   if (!BarPassed) {
     std::fprintf(stderr, "FAIL: warm registration bar not met\n");
     return 1;

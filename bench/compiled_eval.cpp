@@ -15,8 +15,7 @@
 // exits nonzero if they do not. Synthesis always runs on the evaluator
 // the solver picks (compile/CompiledEval.h); its tape/tree-walk identity
 // is pinned by the decider differential in tests/fuzz/RandomQueryTest.cpp.
-// Results go to BENCH_compiled.json via the shared throughput reporter
-// (BenchCommon.h), same fields as the other harnesses.
+// ctest runs it with `--runs 1` as bench_compiled_eval.
 //
 //===----------------------------------------------------------------------===//
 
@@ -103,6 +102,11 @@ std::vector<Box> probeBoxes(const Schema &S, size_t N) {
   return Boxes;
 }
 
+/// \p N events over \p Seconds as a rate; 0 when the clock read nothing.
+double perSec(uint64_t N, double Seconds) {
+  return Seconds > 0 ? static_cast<double>(N) / Seconds : 0;
+}
+
 void dieOnMismatch(const char *What, const std::string &Id, bool Equal) {
   if (!Equal) {
     std::fprintf(stderr, "TAPE/TREE-WALK MISMATCH (%s) on %s\n", What,
@@ -117,7 +121,6 @@ int main(int Argc, char **Argv) {
   unsigned Runs = parseRuns(Argc, Argv, 5);
   std::printf("Compiled evaluator throughput: tape vs tree walk (%u runs)\n\n",
               Runs);
-  std::vector<ThroughputSample> Samples;
 
   // -- Search workloads: fig5a / fig5b on the tape, table1 both ways. ---
   std::printf("== solver nodes/sec (fig5a interval, fig5b powerset k=3, "
@@ -130,18 +133,13 @@ int main(int Argc, char **Argv) {
 
     // fig5a / fig5b. The nodes are deterministic, so they come from one
     // reference run.
-    uint64_t Nodes = runInterval(*Sy);
-    ThroughputSample Fig5a{P.Id + "_fig5a", "tape",
-                           medianSeconds(Runs, [&] { runInterval(*Sy); }),
-                           Nodes, 0};
-    Nodes = runPowerset(*Sy, 3);
-    ThroughputSample Fig5b{P.Id + "_fig5b", "tape",
-                           medianSeconds(Runs, [&] { runPowerset(*Sy, 3); }),
-                           Nodes, 0};
+    uint64_t Fig5aNodes = runInterval(*Sy);
+    double Fig5aSeconds = medianSeconds(Runs, [&] { runInterval(*Sy); });
+    uint64_t Fig5bNodes = runPowerset(*Sy, 3);
+    double Fig5bSeconds = medianSeconds(Runs, [&] { runPowerset(*Sy, 3); });
     std::printf("  %s fig5a: tape %.0f nodes/s; fig5b: tape %.0f nodes/s\n",
-                P.Id.c_str(), Fig5a.nodesPerSec(), Fig5b.nodesPerSec());
-    Samples.push_back(Fig5a);
-    Samples.push_back(Fig5b);
+                P.Id.c_str(), perSec(Fig5aNodes, Fig5aSeconds),
+                perSec(Fig5bNodes, Fig5bSeconds));
 
     // table1 exact counting, once per evaluator.
     CountRun WantC = runCount(P, nullptr);
@@ -150,18 +148,13 @@ int main(int Argc, char **Argv) {
                   WantC.TrueSize == GotC.TrueSize &&
                       WantC.FalseSize == GotC.FalseSize &&
                       WantC.Nodes == GotC.Nodes);
-    ThroughputSample Walk{P.Id + "_table1", "tree_walk",
-                          medianSeconds(Runs, [&] { runCount(P, nullptr); }),
-                          WantC.Nodes, 0};
-    ThroughputSample Compiled{P.Id + "_table1", "tape",
-                              medianSeconds(Runs, [&] { runCount(P, T); }),
-                              GotC.Nodes, 0};
+    double WalkSeconds = medianSeconds(Runs, [&] { runCount(P, nullptr); });
+    double TapeSeconds = medianSeconds(Runs, [&] { runCount(P, T); });
     std::printf("  %s table1: tree walk %.0f nodes/s, tape %.0f nodes/s "
                 "(%.2fx)\n",
-                P.Id.c_str(), Walk.nodesPerSec(), Compiled.nodesPerSec(),
-                Compiled.Seconds > 0 ? Walk.Seconds / Compiled.Seconds : 0.0);
-    Samples.push_back(Walk);
-    Samples.push_back(Compiled);
+                P.Id.c_str(), perSec(WantC.Nodes, WalkSeconds),
+                perSec(GotC.Nodes, TapeSeconds),
+                TapeSeconds > 0 ? WalkSeconds / TapeSeconds : 0.0);
   }
 
   // -- Probe workload: raw per-box evaluation, evals/sec. ---------------
@@ -193,24 +186,12 @@ int main(int Argc, char **Argv) {
         for (const Box &B : Boxes)
           (void)T->run(B, Scratch);
     };
-    ThroughputSample Walk{P.Id + "_probe", "tree_walk",
-                          medianSeconds(Runs, WalkAll), 0, Evals};
-    ThroughputSample Compiled{P.Id + "_probe", "tape",
-                              medianSeconds(Runs, TapeAll), 0, Evals};
+    double WalkSeconds = medianSeconds(Runs, WalkAll);
+    double TapeSeconds = medianSeconds(Runs, TapeAll);
     std::printf("  %s: tree walk %.2fM/s, tape %.2fM/s (%.2fx)\n",
-                P.Id.c_str(), Walk.evalsPerSec() / 1e6,
-                Compiled.evalsPerSec() / 1e6,
-                Compiled.Seconds > 0 ? Walk.Seconds / Compiled.Seconds : 0.0);
-    Samples.push_back(Walk);
-    Samples.push_back(Compiled);
+                P.Id.c_str(), perSec(Evals, WalkSeconds) / 1e6,
+                perSec(Evals, TapeSeconds) / 1e6,
+                TapeSeconds > 0 ? WalkSeconds / TapeSeconds : 0.0);
   }
-
-  writeThroughputJson(
-      "BENCH_compiled.json", Samples,
-      "  \"identity\": \"tape and tree walk agree on every probe box and "
-      "table1 count, nodes included (hard-fail)\",\n  \"probe_boxes\": " +
-          std::to_string(ProbeBoxes) +
-          ",\n  \"probe_iters\": " + std::to_string(ProbeIters) + ",\n");
-  std::printf("\n  wrote BENCH_compiled.json\n");
   return 0;
 }

@@ -16,11 +16,12 @@
 ///   3. Soak throughput: oracle-checked session replays per second, the
 ///      figure that bounds how much corpus a CI soak minute buys.
 ///
-/// Writes BENCH_corpus.json next to the binary (same reporting style as
-/// BENCH_static_analysis.json). Flags: --seed N, --per-family K,
-/// --traces N, --steps N, --relational off|auto|on (the analyzer's
-/// octagon escalation tier; with it enabled, location-family
-/// reject-recall must be nonzero — a hard gate, exit 1 on regression).
+/// Prints the scorecard and a verdict to stdout, and exits 1 on an oracle
+/// mismatch, an unsound lint verdict, or a location-family reject-recall
+/// of 0 with the analyzer's octagon tier enabled. Flags: --seed N,
+/// --per-family K, --traces N, --steps N, --relational off|auto|on.
+/// ctest runs `--seed 7 --per-family 2` with the default tier and with
+/// `--relational on`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,60 +49,6 @@ struct FamilyRow {
 [[noreturn]] void badFlagValue(const char *Flag, const char *Value) {
   std::fprintf(stderr, "error: invalid value for %s: '%s'\n", Flag, Value);
   std::exit(2);
-}
-
-void writeCorpusJson(const std::string &Path, const CorpusOptions &Opt,
-                     RelationalTier Relational,
-                     const std::vector<FamilyRow> &Rows,
-                     const LintScore &Total, unsigned Sessions,
-                     unsigned Mismatches, double SoakSeconds) {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (F == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", Path.c_str());
-    return;
-  }
-  unsigned Modules = 0, Traces = 0;
-  for (const FamilyRow &R : Rows) {
-    Modules += R.Modules;
-    Traces += R.Traces;
-  }
-  std::fprintf(F,
-               "{\n  \"seed\": %llu,\n  \"modules\": %u,\n"
-               "  \"traces\": %u,\n  \"policy_min_size\": %lld,\n"
-               "  \"relational\": \"%s\",\n"
-               "  \"families\": [\n",
-               static_cast<unsigned long long>(Opt.Seed), Modules, Traces,
-               static_cast<long long>(Opt.PolicyMinSize),
-               relationalTierName(Relational));
-  for (size_t I = 0; I != Rows.size(); ++I) {
-    const FamilyRow &R = Rows[I];
-    std::fprintf(
-        F,
-        "    {\"family\": \"%s\", \"modules\": %u, \"traces\": %u, "
-        "\"const_precision\": %.4f, \"const_recall\": %.4f, "
-        "\"reject_precision\": %.4f, \"reject_recall\": %.4f}%s\n",
-        R.Family.c_str(), R.Modules, R.Traces,
-        LintScore::precision(R.Lint.ConstTP, R.Lint.ConstFP),
-        LintScore::recall(R.Lint.ConstTP, R.Lint.ConstFN),
-        LintScore::precision(R.Lint.RejectTP, R.Lint.RejectFP),
-        LintScore::recall(R.Lint.RejectTP, R.Lint.RejectFN),
-        I + 1 == Rows.size() ? "" : ",");
-  }
-  std::fprintf(
-      F,
-      "  ],\n  \"lint\": {\"queries_scored\": %u, \"sound\": %s, "
-      "\"const_precision\": %.4f, \"const_recall\": %.4f, "
-      "\"reject_precision\": %.4f, \"reject_recall\": %.4f},\n"
-      "  \"soak\": {\"sessions\": %u, \"mismatches\": %u, "
-      "\"seconds\": %.4f, \"sessions_per_s\": %.2f}\n}\n",
-      Total.QueriesScored, Total.sound() ? "true" : "false",
-      LintScore::precision(Total.ConstTP, Total.ConstFP),
-      LintScore::recall(Total.ConstTP, Total.ConstFN),
-      LintScore::precision(Total.RejectTP, Total.RejectFP),
-      LintScore::recall(Total.RejectTP, Total.RejectFN), Sessions,
-      Mismatches, SoakSeconds,
-      SoakSeconds > 0 ? Sessions / SoakSeconds : 0.0);
-  std::fclose(F);
 }
 
 } // namespace
@@ -198,11 +145,6 @@ int main(int Argc, char **Argv) {
               Sessions, SoakSeconds,
               SoakSeconds > 0 ? Sessions / SoakSeconds : 0.0, Mismatches);
 
-  writeCorpusJson("BENCH_corpus.json", Opt, Relational, Rows, Total,
-                  Sessions, Mismatches, SoakSeconds);
-  std::printf("wrote BENCH_corpus.json (seed %llu)\n",
-              static_cast<unsigned long long>(Opt.Seed));
-
   // The recall gate: with the octagon tier enabled, the location family
   // (Manhattan-ball queries, the paper's §6.2 workload) must reject
   // statically at nonzero recall. A regression back to 0 means the
@@ -220,5 +162,12 @@ int main(int Argc, char **Argv) {
       RecallGate = false;
     }
   }
-  return Mismatches == 0 && Total.sound() && RecallGate ? 0 : 1;
+  bool Pass = Mismatches == 0 && Total.sound() && RecallGate;
+  std::printf("seed %llu, relational tier %s: lint %s, location recall "
+              "gate %s -> %s\n",
+              static_cast<unsigned long long>(Opt.Seed),
+              relationalTierName(Relational),
+              Total.sound() ? "sound" : "UNSOUND", RecallGate ? "ok" : "FAIL",
+              Pass ? "pass" : "FAIL");
+  return Pass ? 0 : 1;
 }

@@ -21,19 +21,12 @@
 #include "synth/Synthesizer.h"
 #include "verify/RefinementChecker.h"
 
-#include <map>
-
 using namespace anosy;
 
 int main(int Argc, char **Argv) {
   unsigned Runs = parseRuns(Argc, Argv, 11);
   std::printf("Fig. 5a: interval-domain synthesis and verification "
               "(%u runs)\n\n", Runs);
-
-  // Shared throughput fields (BenchCommon.h): per-benchmark synthesis
-  // nodes/sec, summed over both approximation kinds, comparable with
-  // BENCH_compiled.json's tape rows.
-  std::map<std::string, ThroughputSample> Throughput;
 
   for (ApproxKind Kind : {ApproxKind::Under, ApproxKind::Over}) {
     std::printf("== %s-approximation ==\n", approxKindName(Kind));
@@ -49,24 +42,17 @@ int main(int Argc, char **Argv) {
         T.addRow({P.Id, Sy.error().str(), "-", "-", "-"});
         continue;
       }
-      // One reference synthesis for the sizes (and the node count).
-      SynthStats Stats;
-      auto Sets = Sy->synthesizeInterval(Kind, &Stats);
+      // One reference synthesis for the sizes.
+      auto Sets = Sy->synthesizeInterval(Kind);
       if (!Sets) {
         T.addRow({P.Id, Sets.error().str(), "-", "-", "-"});
         continue;
       }
 
-      double SynthSeconds = 0;
       std::string SynthTime = timeRepeated(Runs, [&Sy, Kind]() {
         auto R = Sy->synthesizeInterval(Kind);
         (void)R;
-      }, &SynthSeconds);
-      ThroughputSample &TS = Throughput[P.Id];
-      TS.Name = P.Id;
-      TS.Variant = "tape";
-      TS.Seconds += SynthSeconds;
-      TS.Nodes += Stats.SolverNodes;
+      });
       std::string VerifTime = timeRepeated(Runs, [&]() {
         RefinementChecker Checker(S, P.query().Body);
         CertificateBundle B = Checker.checkIndSets(*Sets, Kind);
@@ -84,14 +70,6 @@ int main(int Argc, char **Argv) {
                 VerifTime, SynthTime});
     }
     std::printf("%s\n", T.render().c_str());
-  }
-
-  {
-    std::vector<ThroughputSample> Samples;
-    for (const auto &KV : Throughput)
-      Samples.push_back(KV.second);
-    writeThroughputJson("BENCH_throughput_fig5a.json", Samples);
-    std::printf("wrote BENCH_throughput_fig5a.json\n");
   }
   return 0;
 }

@@ -15,14 +15,12 @@
 #include "synth/Synthesizer.h"
 #include "verify/RefinementChecker.h"
 
-#include <map>
-
 using namespace anosy;
 
 static unsigned parseK(int Argc, char **Argv) {
   for (int I = 1; I + 1 < Argc; ++I)
     if (std::strcmp(Argv[I], "--k") == 0)
-      return static_cast<unsigned>(std::atoi(Argv[I + 1]));
+      return parseBenchUnsigned("--k", Argv[I + 1]);
   return 3;
 }
 
@@ -31,11 +29,6 @@ int main(int Argc, char **Argv) {
   unsigned K = parseK(Argc, Argv);
   std::printf("Fig. 5b: powerset-of-intervals synthesis, k = %u "
               "(%u runs)\n\n", K, Runs);
-
-  // Shared throughput fields (BenchCommon.h): per-benchmark synthesis
-  // nodes/sec, summed over both approximation kinds, comparable with
-  // BENCH_compiled.json's tape rows.
-  std::map<std::string, ThroughputSample> Throughput;
 
   for (ApproxKind Kind : {ApproxKind::Under, ApproxKind::Over}) {
     std::printf("== %s-approximation ==\n", approxKindName(Kind));
@@ -51,23 +44,16 @@ int main(int Argc, char **Argv) {
         T.addRow({P.Id, Sy.error().str(), "-", "-", "-"});
         continue;
       }
-      SynthStats Stats;
-      auto Sets = Sy->synthesizePowerset(Kind, K, &Stats);
+      auto Sets = Sy->synthesizePowerset(Kind, K);
       if (!Sets) {
         T.addRow({P.Id, Sets.error().str(), "-", "-", "-"});
         continue;
       }
 
-      double SynthSeconds = 0;
       std::string SynthTime = timeRepeated(Runs, [&Sy, Kind, K]() {
         auto R = Sy->synthesizePowerset(Kind, K);
         (void)R;
-      }, &SynthSeconds);
-      ThroughputSample &TS = Throughput[P.Id];
-      TS.Name = P.Id;
-      TS.Variant = "tape";
-      TS.Seconds += SynthSeconds;
-      TS.Nodes += Stats.SolverNodes;
+      });
       std::string VerifTime = timeRepeated(Runs, [&]() {
         RefinementChecker Checker(S, P.query().Body);
         CertificateBundle B = Checker.checkIndSets(*Sets, Kind);
@@ -85,14 +71,6 @@ int main(int Argc, char **Argv) {
                 VerifTime, SynthTime});
     }
     std::printf("%s\n", T.render().c_str());
-  }
-
-  {
-    std::vector<ThroughputSample> Samples;
-    for (const auto &KV : Throughput)
-      Samples.push_back(KV.second);
-    writeThroughputJson("BENCH_throughput_fig5b.json", Samples);
-    std::printf("wrote BENCH_throughput_fig5b.json\n\n");
   }
 
   // §6.1's B3/k=4 remark: "it can synthesize the exact ind. set with

@@ -15,13 +15,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchCommon.h"
+
 #include "benchlib/Advertising.h"
-
-#include "support/Stats.h"
 #include "support/Table.h"
-
-#include <cstdio>
-#include <cstring>
 
 using namespace anosy;
 
@@ -29,9 +26,9 @@ int main(int Argc, char **Argv) {
   AdvertisingConfig Base;
   for (int I = 1; I + 1 < Argc; ++I) {
     if (std::strcmp(Argv[I], "--instances") == 0)
-      Base.NumInstances = static_cast<unsigned>(std::atoi(Argv[I + 1]));
+      Base.NumInstances = parseBenchUnsigned("--instances", Argv[I + 1]);
     if (std::strcmp(Argv[I], "--restaurants") == 0)
-      Base.NumRestaurants = static_cast<unsigned>(std::atoi(Argv[I + 1]));
+      Base.NumRestaurants = parseBenchUnsigned("--restaurants", Argv[I + 1]);
   }
 
   const unsigned Ks[] = {1, 3, 5, 7, 10};

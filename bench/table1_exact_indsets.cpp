@@ -28,25 +28,18 @@ int main() {
   TextTable T;
   T.setHeader({"#", "Name", "No. of fields", "Size of ind. sets",
                "(paper)"});
-  // Shared throughput fields (BenchCommon.h): counting nodes/sec per
-  // benchmark, comparable with BENCH_compiled.json.
-  std::vector<ThroughputSample> Throughput;
   size_t Row = 0;
   for (const BenchmarkProblem &P : mardzielBenchmarks()) {
     Stopwatch W;
-    uint64_t Nodes = 0;
-    ExactSizes E = exactIndSetSizes(P, &Nodes);
+    ExactSizes E = exactIndSetSizes(P);
     double Secs = W.seconds();
     T.addRow({P.Id, P.Name, std::to_string(P.M.schema().arity()),
               sizePair(E.TrueSize, E.FalseSize), PaperSizes[Row]});
     std::fprintf(stderr, "[%s counted exactly in %.3fs]\n", P.Id.c_str(),
                  Secs);
-    Throughput.push_back({P.Id, "tape", Secs, Nodes, 0});
     ++Row;
   }
   std::printf("%s\n", T.render().c_str());
-  writeThroughputJson("BENCH_throughput_table1.json", Throughput);
-  std::printf("wrote BENCH_throughput_table1.json\n\n");
   std::printf("B1 and B3 match the paper exactly (their encodings are "
               "pinned by Table 1);\nB2/B4/B5 use reconstructed secret "
               "bounds and match in order of magnitude.\n");

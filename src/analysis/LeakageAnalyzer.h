@@ -119,8 +119,7 @@ struct LintOptions {
   RelationalTier Relational = RelationalTier::Auto;
 };
 
-/// Per-query analysis results; the solver-seeding contract consumes the
-/// posterior boxes (analysis/SolverSeeds.h).
+/// Per-query analysis results.
 struct QueryAnalysis {
   std::string Name;
   /// Features of the NNF-normalized body (connectives hidden under ⇒/¬

@@ -12,8 +12,8 @@
 /// either.
 ///
 /// Sites are phase-grained (per query / per synthesis pass / per KB
-/// write), never per solver node: the ≤1% disabled-overhead bound pinned
-/// in bench/BENCH_observability.json depends on instrumentation staying
+/// write), never per solver node: the ≤1% disabled-overhead bound that
+/// bench/observability_overhead pins depends on instrumentation staying
 /// off the solver's hot loop.
 ///
 //===----------------------------------------------------------------------===//

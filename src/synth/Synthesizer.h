@@ -58,15 +58,16 @@ struct SynthOptions {
   /// AnosySession turns it on only for the partial rung of its
   /// degradation ladder, after its strict retries (DESIGN.md §6).
   bool KeepPartialOnExhaustion = false;
-  /// Static-analysis search-region seeds (analysis/SolverSeeds.h,
-  /// DESIGN.md §7): sound over-approximations of the True/False answer
-  /// branches over the schema prior. When set, the matching response's
-  /// search is confined to Bounds ∩ region — every valid artifact for a
-  /// response lies inside its region, so nothing is lost — and the
-  /// region's faces are published as split hints through an
-  /// inBoxPredicate conjunct. An empty region proves the branch empty:
-  /// that response synthesizes to ⊥ without any solver call. Unset
-  /// (default) keeps synthesis bit-identical to unseeded runs.
+  /// Search-region seeds (DESIGN.md §7): sound over-approximations of
+  /// the True/False answer branches over the schema prior. The cache's
+  /// parent seeds set them (cache/ArtifactCache.h, applyCacheSeeds).
+  /// When set, the matching response's search is confined to Bounds ∩
+  /// region — every valid artifact for a response lies inside its
+  /// region, so nothing is lost — and the region's faces are published
+  /// as split hints through an inBoxPredicate conjunct. An empty region
+  /// proves the branch empty: that response synthesizes to ⊥ without any
+  /// solver call. Unset (default) keeps synthesis bit-identical to
+  /// unseeded runs.
   std::optional<Box> TrueRegionSeed;
   std::optional<Box> FalseRegionSeed;
 };
@@ -113,7 +114,7 @@ private:
   Synthesizer(const Schema &S, ExprRef Query, SynthOptions Options);
 
   /// One response's search setup: the (possibly region-confined)
-  /// predicate and the box the search runs in. Empty when an analysis
+  /// predicate and the box the search runs in. Empty when a region
   /// seed proves the response's branch empty.
   struct ResponseSearch {
     PredicateRef P;

@@ -1,12 +1,15 @@
-# Regression harness for the strict flag parsing of anosy_cli and anosyd.
-# Each bad invocation must exit with the usage status (2) and name the
-# offending flag — the pre-fix atoi/strtoll/atof code accepted all of
-# these silently. Retired flags must be rejected (exit 2), not ignored.
+# Regression harness for the strict flag parsing of anosy_cli, anosyd and
+# the bench drivers. Each bad invocation must exit with the usage status
+# (2) and name the offending flag — the pre-fix atoi/strtoll/atof code
+# accepted all of these silently. Retired flags must be rejected (exit 2),
+# not ignored.
 # Run via:  ctest -R cli_rejects_bad_numerics
-if(NOT DEFINED ANOSY_CLI OR NOT DEFINED ANOSYD)
-  message(FATAL_ERROR
-    "pass -DANOSY_CLI=<path to anosy_cli> -DANOSYD=<path to anosyd>")
-endif()
+foreach(tool ANOSY_CLI ANOSYD FIG5A FIG5B FIG6 COMPILED_EVAL)
+  if(NOT DEFINED ${tool})
+    message(FATAL_ERROR
+      "pass -D${tool}=<path>; see tests/CMakeLists.txt for the full list")
+  endif()
+endforeach()
 
 # Runs \p tool with ARGN and requires the usage status (2) and stderr
 # matching the regex \p expected. Stdin is empty, so a daemon that
@@ -64,6 +67,24 @@ expect_usage_error("unknown" ${seeds_flag})
 expect_tool_usage_error(${ANOSYD} "usage" --relational off)
 expect_tool_usage_error(${ANOSYD} "invalid value for --sps" --sps abc)
 expect_tool_usage_error(${ANOSYD} "invalid value for --burst" --burst x)
+
+# Bench drivers: every count flag must parse in full and be at least 1.
+# `--runs 0` indexed an empty sample vector (exit 139), atoi read `--k abc`
+# as k = 0 and `--instances abc` as zero instances, and `--restaurants -1`
+# wrapped to 4,294,967,295 queries. The trailing `--instances 0` stops a
+# regressed `--restaurants` parse before the experiment allocates them.
+expect_tool_usage_error(${FIG5A} "invalid value for --runs" --runs 0)
+expect_tool_usage_error(${COMPILED_EVAL} "invalid value for --runs" --runs 0)
+expect_tool_usage_error(${FIG5B} "invalid value for --k" --k abc)
+expect_tool_usage_error(${FIG5B} "invalid value for --k" --k 0)
+expect_tool_usage_error(${FIG6} "invalid value for --instances"
+                        --instances abc)
+expect_tool_usage_error(${FIG6} "invalid value for --instances"
+                        --instances 0)
+expect_tool_usage_error(${FIG6} "invalid value for --restaurants"
+                        --restaurants -1 --instances 0)
+expect_tool_usage_error(${FIG6} "invalid value for --restaurants"
+                        --restaurants 0 --instances 0)
 
 # A good invocation still runs end to end (built-in module, no files).
 execute_process(

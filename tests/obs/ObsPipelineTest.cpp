@@ -6,8 +6,8 @@
 // tracing on, and from one traced run to the next — and with the runtime
 // switch off (the default) a full pipeline run must leave the global
 // recorder and registry completely untouched, which is the mechanism
-// behind the ≤1% disabled-overhead bound pinned in
-// bench/BENCH_observability.json.
+// behind the ≤1% disabled-overhead bound that bench/observability_overhead
+// pins.
 //
 //===----------------------------------------------------------------------===//
 
