@@ -46,6 +46,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -107,40 +108,63 @@ std::string statsJson(const DaemonStats &S) {
   return Out;
 }
 
-/// Serve mode: line protocol on stdin, one JSON line per response.
+/// Appends \p Tokens[From..] to \p Out as int64s; false when any of them
+/// is not a whole number (`2x`, `1O0`, `abc`).
+bool parseValues(const std::vector<std::string> &Tokens, size_t From,
+                 std::vector<int64_t> &Out) {
+  for (size_t I = From; I < Tokens.size(); ++I) {
+    std::optional<int64_t> V = parseInt64(Tokens[I]);
+    if (!V)
+      return false;
+    Out.push_back(*V);
+  }
+  return true;
+}
+
+/// Serve mode: line protocol on stdin, one JSON line per response. A
+/// request line with a malformed number, or a token past the protocol's
+/// last argument, answers "bad request line".
 int serve(MonitorDaemon &Daemon, const std::string &MetricsOut) {
   std::string Line;
   while (!StopRequested && std::getline(std::cin, Line)) {
     std::istringstream Ss(Line);
-    std::string Cmd;
-    Ss >> Cmd;
-    if (Cmd.empty())
+    std::vector<std::string> Tok;
+    for (std::string T; Ss >> T;)
+      Tok.push_back(std::move(T));
+    if (Tok.empty())
       continue;
-    if (Cmd == "quit")
+    const std::string &Cmd = Tok[0];
+    // The bare commands take no argument; with one they fall through to
+    // "bad request line".
+    const bool Bare = Tok.size() == 1;
+    if (Bare && Cmd == "quit")
       break;
-    if (Cmd == "metrics") {
+    if (Bare && Cmd == "metrics") {
       std::fputs(obs::MetricsRegistry::global().renderPrometheus().c_str(),
                  stdout);
       std::fflush(stdout);
       continue;
     }
-    if (Cmd == "stats") {
+    if (Bare && Cmd == "stats") {
       std::printf("%s\n", statsJson(Daemon.stats()).c_str());
       std::fflush(stdout);
       continue;
     }
 
+    // Tokens: the command, the tenant, then the module path or the query
+    // name; numbers start at index 3.
     ServiceRequest R;
+    R.Tenant = Tok.size() > 1 ? Tok[1] : "";
     bool Parsed = true;
     if (Cmd == "register") {
       R.Kind = RequestKind::Register;
-      std::string Path;
-      Ss >> R.Tenant >> Path;
-      int64_t MinSize = -1;
-      if (Ss >> MinSize)
-        R.MinSize = MinSize;
-      if (R.Tenant.empty() || Path.empty() ||
-          !readFile(Path, R.ModuleSource)) {
+      const std::string Path = Tok.size() > 2 ? Tok[2] : "";
+      std::vector<int64_t> MinSize;
+      Parsed = parseValues(Tok, 3, MinSize) && MinSize.size() <= 1;
+      if (Parsed && !MinSize.empty())
+        R.MinSize = MinSize.front();
+      if (Parsed && (R.Tenant.empty() || Path.empty() ||
+                     !readFile(Path, R.ModuleSource))) {
         std::printf("{\"id\":0,\"status\":\"error\",\"detail\":\"cannot "
                     "read module file\"}\n");
         std::fflush(stdout);
@@ -149,15 +173,11 @@ int serve(MonitorDaemon &Daemon, const std::string &MetricsOut) {
     } else if (Cmd == "downgrade" || Cmd == "classify") {
       R.Kind = Cmd == "downgrade" ? RequestKind::Downgrade
                                   : RequestKind::Classify;
-      Ss >> R.Tenant >> R.Name;
-      int64_t V;
-      while (Ss >> V)
-        R.Secret.push_back(V);
-      Parsed = !R.Tenant.empty() && !R.Name.empty() && !R.Secret.empty();
+      R.Name = Tok.size() > 2 ? Tok[2] : "";
+      Parsed = parseValues(Tok, 3, R.Secret) && !R.Secret.empty();
     } else if (Cmd == "flush") {
       R.Kind = RequestKind::Flush;
-      Ss >> R.Tenant;
-      Parsed = !R.Tenant.empty();
+      Parsed = Tok.size() == 2;
     } else {
       Parsed = false;
     }

@@ -2,48 +2,14 @@
 
 #include "analysis/IntervalRefiner.h"
 
+#include "domains/IntervalArith.h"
 #include "expr/Simplify.h"
 #include "solver/RangeEval.h"
 
 #include <algorithm>
 
 using namespace anosy;
-
-namespace {
-
-int64_t negSat(int64_t V) { return V == INT64_MIN ? INT64_MAX : -V; }
-
-int64_t addSat(int64_t A, int64_t B) {
-  __int128 R = static_cast<__int128>(A) + B;
-  if (R > INT64_MAX)
-    return INT64_MAX;
-  if (R < INT64_MIN)
-    return INT64_MIN;
-  return static_cast<int64_t>(R);
-}
-
-Interval addI(const Interval &A, const Interval &B) {
-  return {addSat(A.Lo, B.Lo), addSat(A.Hi, B.Hi)};
-}
-
-Interval subI(const Interval &A, const Interval &B) {
-  return {addSat(A.Lo, negSat(B.Hi)), addSat(A.Hi, negSat(B.Lo))};
-}
-
-/// Floor/ceil division for inverting multiplication by a constant.
-int64_t floorDiv(int64_t A, int64_t B) {
-  assert(B != 0 && "division by zero");
-  int64_t Q = A / B, R = A % B;
-  return (R != 0 && ((R < 0) != (B < 0))) ? Q - 1 : Q;
-}
-
-int64_t ceilDiv(int64_t A, int64_t B) {
-  assert(B != 0 && "division by zero");
-  int64_t Q = A / B, R = A % B;
-  return (R != 0 && ((R < 0) == (B < 0))) ? Q + 1 : Q;
-}
-
-} // namespace
+using namespace anosy::iarith;
 
 Box IntervalRefiner::refine(const Expr &E, const Box &Prior) const {
   Box Cur = Prior;
@@ -126,11 +92,11 @@ Box IntervalRefiner::narrowCmp(CmpOp Op, const Expr &A, const Expr &C,
     return narrowInt(C, {RA.Lo, INT64_MAX}, std::move(B));
   }
   case CmpOp::LT: {
-    B = narrowInt(A, {INT64_MIN, addSat(RC.Hi, -1)}, std::move(B));
+    B = narrowInt(A, {INT64_MIN, satAdd(RC.Hi, -1)}, std::move(B));
     if (B.isEmpty())
       return B;
     RA = evalRange(A, B);
-    return narrowInt(C, {addSat(RA.Lo, 1), INT64_MAX}, std::move(B));
+    return narrowInt(C, {satAdd(RA.Lo, 1), INT64_MAX}, std::move(B));
   }
   case CmpOp::GE:
   case CmpOp::GT:
@@ -181,25 +147,25 @@ Box IntervalRefiner::narrowInt(const Expr &E, Interval Target, Box B) const {
     return B.withDim(E.fieldIndex(), NewDim);
   }
   case ExprKind::Neg:
-    return narrowInt(*E.operand(0), {negSat(Target.Hi), negSat(Target.Lo)},
+    return narrowInt(*E.operand(0), {satNeg(Target.Hi), satNeg(Target.Lo)},
                      std::move(B));
   case ExprKind::Add: {
     const Expr &A = *E.operand(0), &C = *E.operand(1);
     Interval RA = evalRange(A, B), RC = evalRange(C, B);
-    B = narrowInt(A, subI(Target, RC), std::move(B));
+    B = narrowInt(A, rangeSub(Target, RC), std::move(B));
     if (B.isEmpty())
       return B;
     RA = evalRange(A, B);
-    return narrowInt(C, subI(Target, RA), std::move(B));
+    return narrowInt(C, rangeSub(Target, RA), std::move(B));
   }
   case ExprKind::Sub: {
     const Expr &A = *E.operand(0), &C = *E.operand(1);
     Interval RA = evalRange(A, B), RC = evalRange(C, B);
-    B = narrowInt(A, addI(Target, RC), std::move(B));
+    B = narrowInt(A, rangeAdd(Target, RC), std::move(B));
     if (B.isEmpty())
       return B;
     RA = evalRange(A, B);
-    return narrowInt(C, subI(RA, Target), std::move(B));
+    return narrowInt(C, rangeSub(RA, Target), std::move(B));
   }
   case ExprKind::Mul: {
     // Invertible only through a nonzero constant factor (§5.1 fragment).
@@ -228,7 +194,7 @@ Box IntervalRefiner::narrowInt(const Expr &E, Interval Target, Box B) const {
     const Expr &A = *E.operand(0);
     int64_t Lo = std::max<int64_t>(0, Target.Lo);
     Box Pos = narrowInt(A, {Lo, Target.Hi}, B);
-    Box Neg = narrowInt(A, {negSat(Target.Hi), negSat(Lo)}, B);
+    Box Neg = narrowInt(A, {satNeg(Target.Hi), satNeg(Lo)}, B);
     return Pos.hull(Neg);
   }
   case ExprKind::Min: {

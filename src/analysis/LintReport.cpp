@@ -2,39 +2,9 @@
 
 #include "analysis/LintReport.h"
 
-#include <cstdio>
+#include "obs/Trace.h"
 
 using namespace anosy;
-
-std::string anosy::jsonEscape(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
 
 std::string anosy::renderLintText(const std::vector<LintedModule> &Modules) {
   std::string Out;
@@ -69,16 +39,16 @@ void appendDiagnosticJson(const LintDiagnostic &D, std::string &Out) {
   Out += lintSeverityName(D.Severity);
   Out += "\", \"verdict\": \"";
   Out += lintVerdictName(D.Verdict);
-  Out += "\", \"query\": \"" + jsonEscape(D.Query);
-  Out += "\", \"message\": \"" + jsonEscape(D.Message);
-  Out += "\", \"witness\": \"" + jsonEscape(D.Witness.str());
-  Out += "\", \"fix\": \"" + jsonEscape(D.Fix);
-  Out += "\"}";
+  Out += "\", \"query\": " + obs::jsonQuote(D.Query);
+  Out += ", \"message\": " + obs::jsonQuote(D.Message);
+  Out += ", \"witness\": " + obs::jsonQuote(D.Witness.str());
+  Out += ", \"fix\": " + obs::jsonQuote(D.Fix);
+  Out += "}";
 }
 
 void appendQueryJson(const QueryAnalysis &Q, std::string &Out) {
-  Out += "        {\"name\": \"" + jsonEscape(Q.Name);
-  Out += "\", \"verdict\": \"";
+  Out += "        {\"name\": " + obs::jsonQuote(Q.Name);
+  Out += ", \"verdict\": \"";
   Out += lintVerdictName(Q.Verdict);
   Out += "\", \"relational\": ";
   Out += Q.Features.Relational ? "true" : "false";
@@ -86,19 +56,19 @@ void appendQueryJson(const QueryAnalysis &Q, std::string &Out) {
   Out += ", \"tier\": \"";
   Out += domainTierName(Q.Tier);
   Out += "\"";
-  Out += ", \"true_posterior\": {\"box\": \"" +
-         jsonEscape(Q.TruePosterior.str()) + "\", \"volume\": \"" +
+  Out += ", \"true_posterior\": {\"box\": " +
+         obs::jsonQuote(Q.TruePosterior.str()) + ", \"volume\": \"" +
          Q.TruePosterior.volume().str() + "\", \"card_bound\": \"" +
          Q.TrueCardBound.str() + "\"";
   if (Q.Tier == DomainTier::Octagon)
-    Out += ", \"octagon\": \"" + jsonEscape(Q.TrueOctagon.str()) + "\"";
+    Out += ", \"octagon\": " + obs::jsonQuote(Q.TrueOctagon.str());
   Out += "}";
-  Out += ", \"false_posterior\": {\"box\": \"" +
-         jsonEscape(Q.FalsePosterior.str()) + "\", \"volume\": \"" +
+  Out += ", \"false_posterior\": {\"box\": " +
+         obs::jsonQuote(Q.FalsePosterior.str()) + ", \"volume\": \"" +
          Q.FalsePosterior.volume().str() + "\", \"card_bound\": \"" +
          Q.FalseCardBound.str() + "\"";
   if (Q.Tier == DomainTier::Octagon)
-    Out += ", \"octagon\": \"" + jsonEscape(Q.FalseOctagon.str()) + "\"";
+    Out += ", \"octagon\": " + obs::jsonQuote(Q.FalseOctagon.str());
   Out += "}";
   Out += ", \"skip_synthesis\": ";
   Out += Q.SkipSynthesis ? "true" : "false";
@@ -114,7 +84,7 @@ std::string anosy::renderLintJson(const std::vector<LintedModule> &Modules) {
   unsigned Errors = 0, Warnings = 0, Notes = 0;
   for (size_t I = 0; I != Modules.size(); ++I) {
     const LintedModule &M = Modules[I];
-    Out += "    {\"module\": \"" + jsonEscape(M.Name) + "\",\n";
+    Out += "    {\"module\": " + obs::jsonQuote(M.Name) + ",\n";
     Out += "      \"min_size\": " + std::to_string(M.Options.MinSize) +
            ",\n";
     Out += "      \"relational\": \"";

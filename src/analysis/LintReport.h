@@ -40,9 +40,6 @@ std::string renderLintText(const std::vector<LintedModule> &Modules);
 /// severity totals.
 std::string renderLintJson(const std::vector<LintedModule> &Modules);
 
-/// Escapes \p S for embedding in a JSON string literal.
-std::string jsonEscape(std::string_view S);
-
 } // namespace anosy
 
 #endif // ANOSY_ANALYSIS_LINTREPORT_H

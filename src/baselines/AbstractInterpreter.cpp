@@ -2,26 +2,15 @@
 
 #include "baselines/AbstractInterpreter.h"
 
+#include "domains/IntervalArith.h"
 #include "solver/RangeEval.h"
 
 #include <algorithm>
 
 using namespace anosy;
+using namespace anosy::iarith;
 
 namespace {
-
-/// Floor division for narrowing through constant multiplication.
-int64_t floorDiv(int64_t A, int64_t B) {
-  assert(B != 0 && "division by zero");
-  int64_t Q = A / B, R = A % B;
-  return (R != 0 && ((R < 0) != (B < 0))) ? Q - 1 : Q;
-}
-
-int64_t ceilDiv(int64_t A, int64_t B) {
-  assert(B != 0 && "division by zero");
-  int64_t Q = A / B, R = A % B;
-  return (R != 0 && ((R < 0) == (B < 0))) ? Q + 1 : Q;
-}
 
 /// HC4-style forward-backward narrowing over one query AST.
 class Narrower {
@@ -44,27 +33,27 @@ public:
       return B.withDim(E.fieldIndex(), NewDim);
     }
     case ExprKind::Neg:
-      return narrowInt(*E.operand(0), {negSat(Target.Hi), negSat(Target.Lo)},
+      return narrowInt(*E.operand(0), {satNeg(Target.Hi), satNeg(Target.Lo)},
                        std::move(B));
     case ExprKind::Add: {
       const Expr &A = *E.operand(0), &C = *E.operand(1);
       Interval RA = evalRange(A, B), RC = evalRange(C, B);
       // a ∈ Target - rc, c ∈ Target - ra'.
-      B = narrowInt(A, subI(Target, RC), std::move(B));
+      B = narrowInt(A, rangeSub(Target, RC), std::move(B));
       if (B.isEmpty())
         return B;
       RA = evalRange(A, B);
-      return narrowInt(C, subI(Target, RA), std::move(B));
+      return narrowInt(C, rangeSub(Target, RA), std::move(B));
     }
     case ExprKind::Sub: {
       const Expr &A = *E.operand(0), &C = *E.operand(1);
       Interval RA = evalRange(A, B), RC = evalRange(C, B);
       // a ∈ Target + rc, c ∈ ra' - Target.
-      B = narrowInt(A, addI(Target, RC), std::move(B));
+      B = narrowInt(A, rangeAdd(Target, RC), std::move(B));
       if (B.isEmpty())
         return B;
       RA = evalRange(A, B);
-      return narrowInt(C, subI(RA, Target), std::move(B));
+      return narrowInt(C, rangeSub(RA, Target), std::move(B));
     }
     case ExprKind::Mul: {
       // Narrow only through a constant factor (the linear fragment).
@@ -92,11 +81,11 @@ public:
       // |a| ∈ Target. A box cannot represent the two-sided band, so we
       // keep only the hull [-Target.Hi, Target.Hi] (the baseline's
       // characteristic imprecision at abs).
-      Interval Hull{negSat(Target.Hi), Target.Hi};
+      Interval Hull{satNeg(Target.Hi), Target.Hi};
       if (RA.Lo >= 0)
         Hull = Interval{std::max<int64_t>(0, Target.Lo), Target.Hi};
       else if (RA.Hi <= 0)
-        Hull = Interval{negSat(Target.Hi),
+        Hull = Interval{satNeg(Target.Hi),
                         -std::max<int64_t>(0, Target.Lo)};
       return narrowInt(A, Hull, std::move(B));
     }
@@ -185,24 +174,6 @@ public:
   }
 
 private:
-  static int64_t negSat(int64_t V) { return V == INT64_MIN ? INT64_MAX : -V; }
-
-  static int64_t addSat(int64_t A, int64_t B) {
-    __int128 R = static_cast<__int128>(A) + B;
-    if (R > INT64_MAX)
-      return INT64_MAX;
-    if (R < INT64_MIN)
-      return INT64_MIN;
-    return static_cast<int64_t>(R);
-  }
-
-  static Interval addI(const Interval &A, const Interval &B) {
-    return {addSat(A.Lo, B.Lo), addSat(A.Hi, B.Hi)};
-  }
-  static Interval subI(const Interval &A, const Interval &B) {
-    return {addSat(A.Lo, negSat(B.Hi)), addSat(A.Hi, negSat(B.Lo))};
-  }
-
   Box narrowCmp(CmpOp Op, const Expr &A, const Expr &C, Box B) const {
     Interval RA = evalRange(A, B), RC = evalRange(C, B);
     switch (Op) {
@@ -215,11 +186,11 @@ private:
       return narrowInt(C, {RA.Lo, INT64_MAX}, std::move(B));
     }
     case CmpOp::LT: {
-      B = narrowInt(A, {INT64_MIN, addSat(RC.Hi, -1)}, std::move(B));
+      B = narrowInt(A, {INT64_MIN, satAdd(RC.Hi, -1)}, std::move(B));
       if (B.isEmpty())
         return B;
       RA = evalRange(A, B);
-      return narrowInt(C, {addSat(RA.Lo, 1), INT64_MAX}, std::move(B));
+      return narrowInt(C, {satAdd(RA.Lo, 1), INT64_MAX}, std::move(B));
     }
     case CmpOp::GE:
     case CmpOp::GT:

@@ -307,20 +307,6 @@ std::string lostRecordName(const std::string &QueryLine, size_t Ordinal) {
 
 template <AbstractDomain D>
 std::string
-anosy::serializeKnowledgeBase(const Schema &S,
-                              const std::vector<QueryInfo<D>> &Infos) {
-  std::string Out = std::string("anosy-knowledge-base v1 domain ") +
-                    domainTag<D>() + "\n";
-  Out += "secret " + S.str() + "\n";
-  for (const QueryInfo<D> &Info : Infos) {
-    Out += renderRecordPayload(S, Info);
-    Out += "end\n";
-  }
-  return Out;
-}
-
-template <AbstractDomain D>
-std::string
 anosy::serializeKnowledgeBaseV2(const Schema &S,
                                 const std::vector<QueryInfo<D>> &Infos) {
   ANOSY_OBS_SPAN(Span, "anosy.kb.serialize");
@@ -339,92 +325,12 @@ anosy::serializeKnowledgeBaseV2(const Schema &S,
   return Out;
 }
 
+/// The one reader behind both entry points: fails only when the header
+/// or schema is unreadable, classifies every record, counts stray lines,
+/// and keeps the first defect in file order for the strict read.
 template <AbstractDomain D>
-Result<KnowledgeBase<D>> anosy::parseKnowledgeBase(const std::string &Text) {
-  LineIndex Idx = splitLines(Text);
-  const std::vector<std::string> &L = Idx.Lines;
-  size_t N = L.size();
-
-  if (N == 0)
-    return Error(ErrorCode::ParseError, "empty knowledge base");
-  auto H = parseHeader(L[0]);
-  if (!H)
-    return H.error();
-  if (H->Domain != domainTag<D>())
-    return Error(ErrorCode::ParseError,
-                 "knowledge base is for domain '" + H->Domain +
-                     "', expected '" + domainTag<D>() + "'");
-
-  if (N < 2)
-    return Error(ErrorCode::ParseError, "missing schema line");
-  auto SchemaR = parseSchema(L[1]);
-  if (!SchemaR)
-    return SchemaR.error();
-  KnowledgeBase<D> KB;
-  KB.S = SchemaR.takeValue();
-  size_t Arity = KB.S.arity();
-
-  bool TrailerSeen = false;
-  size_t I = 2;
-  while (I < N) {
-    if (L[I].empty()) {
-      ++I;
-      continue;
-    }
-    if (TrailerSeen)
-      return Error(ErrorCode::ParseError,
-                   "content after knowledge-base trailer: " + L[I]);
-    if (H->Version == 2 && L[I].rfind(TrailerPrefix, 0) == 0) {
-      if (!checksumLineMatches(L[I], TrailerPrefix,
-                               fnv1a64(std::string_view(Text).substr(
-                                   0, Idx.Starts[I]))))
-        return Error(ErrorCode::ParseError,
-                     "knowledge-base trailer checksum mismatch (file "
-                     "truncated or corrupted)");
-      TrailerSeen = true;
-      ++I;
-      continue;
-    }
-
-    auto Info = parseQueryLine<D>(KB.S, L[I]);
-    if (!Info)
-      return Info.error();
-    if (I + 4 >= N)
-      return Error(ErrorCode::ParseError,
-                   "truncated record for query " + Info->Name);
-    if (auto R = parseArtifactLines(&L[I + 1], Arity, *Info); !R)
-      return R.error();
-
-    size_t EndIdx = I + 5;
-    if (H->Version == 2) {
-      if (EndIdx >= N)
-        return Error(ErrorCode::ParseError,
-                     "truncated record for query " + Info->Name);
-      size_t PayloadEnd = Idx.Starts[EndIdx];
-      if (!checksumLineMatches(
-              L[EndIdx], RecordChecksumPrefix,
-              fnv1a64(std::string_view(Text).substr(
-                  Idx.Starts[I], PayloadEnd - Idx.Starts[I]))))
-        return Error(ErrorCode::ParseError,
-                     "record checksum mismatch for query " + Info->Name);
-      ++EndIdx;
-    }
-    if (EndIdx >= N || L[EndIdx] != "end")
-      return Error(ErrorCode::ParseError,
-                   "missing 'end' for query " + Info->Name);
-    KB.Queries.push_back(Info.takeValue());
-    I = EndIdx + 1;
-  }
-  if (H->Version == 2 && !TrailerSeen)
-    return Error(ErrorCode::ParseError,
-                 "missing knowledge-base trailer (file truncated)");
-  return KB;
-}
-
-template <AbstractDomain D>
-Result<RecoveredKnowledgeBase<D>>
-anosy::recoverKnowledgeBase(const std::string &Text) {
-  ANOSY_OBS_SPAN(Span, "anosy.kb.recover");
+static Result<RecoveredKnowledgeBase<D>>
+salvageKnowledgeBase(const std::string &Text) {
   LineIndex Idx = splitLines(Text);
   const std::vector<std::string> &L = Idx.Lines;
   size_t N = L.size();
@@ -448,13 +354,20 @@ anosy::recoverKnowledgeBase(const std::string &Text) {
   Rec.S = SchemaR.takeValue();
   Rec.Version = H->Version;
   size_t Arity = Rec.S.arity();
+  auto Defect = [&Rec](Error E) {
+    if (!Rec.FirstDefect)
+      Rec.FirstDefect = std::move(E);
+  };
 
   // Trailer: the last non-empty line of a healthy v2 file.
+  size_t TrailerIdx = N;
   if (H->Version == 2) {
     Rec.TrailerValid = false;
     for (size_t I = N; I-- > 2;) {
       if (L[I].empty())
         continue;
+      if (L[I].rfind(TrailerPrefix, 0) == 0)
+        TrailerIdx = I;
       Rec.TrailerValid = checksumLineMatches(
           L[I], TrailerPrefix,
           fnv1a64(std::string_view(Text).substr(0, Idx.Starts[I])));
@@ -467,6 +380,13 @@ anosy::recoverKnowledgeBase(const std::string &Text) {
   size_t Ordinal = 0;
   for (size_t I = 2; I < N;) {
     if (L[I].rfind("query ", 0) != 0) {
+      // Blank lines may separate records; any other line outside a
+      // record, bar the v2 trailer, is stray.
+      if (!L[I].empty() && I != TrailerIdx) {
+        ++Rec.Stray;
+        Defect(Error(ErrorCode::ParseError,
+                     "expected a 'query' record, found: " + L[I]));
+      }
       ++I;
       continue;
     }
@@ -497,17 +417,30 @@ anosy::recoverKnowledgeBase(const std::string &Text) {
     auto Info = parseQueryLine<D>(Rec.S, L[QueryIdx]);
     if (!Info) {
       Rec.Lost.push_back(lostRecordName(L[QueryIdx], Ordinal));
+      Defect(Info.error());
       continue;
     }
-    auto Damage = [&](const QueryInfo<D> &Parsed) {
-      Rec.Damaged.push_back({Parsed.Name, Parsed.QueryExpr});
+    auto Damage = [&](Error Why) {
+      Rec.Damaged.push_back({Info->Name, Info->QueryExpr});
+      Defect(std::move(Why));
     };
 
     // Structural completeness: 4 list lines (+ checksum line for v2)
     // between the query line and the end marker.
     size_t Expected = H->Version == 2 ? 6u : 5u;
-    if (EndIdx == std::string::npos || EndIdx - QueryIdx != Expected) {
-      Damage(*Info);
+    if (EndIdx == std::string::npos) {
+      Damage(Error(ErrorCode::ParseError,
+                   (Next == N ? "truncated record for query "
+                              : "missing 'end' for query ") +
+                       Info->Name));
+      continue;
+    }
+    if (EndIdx - QueryIdx != Expected) {
+      Damage(Error(ErrorCode::ParseError,
+                   "record for query " + Info->Name + " has " +
+                       std::to_string(EndIdx - QueryIdx - 1) +
+                       " lines before 'end', expected " +
+                       std::to_string(Expected - 1)));
       continue;
     }
     if (H->Version == 2) {
@@ -517,28 +450,57 @@ anosy::recoverKnowledgeBase(const std::string &Text) {
               fnv1a64(std::string_view(Text).substr(
                   Idx.Starts[QueryIdx],
                   Idx.Starts[SumIdx] - Idx.Starts[QueryIdx])))) {
-        Damage(*Info);
+        Damage(Error(ErrorCode::ParseError,
+                     "record checksum mismatch for query " + Info->Name));
         continue;
       }
     }
     if (auto R = parseArtifactLines(&L[QueryIdx + 1], Arity, *Info); !R) {
-      Damage(*Info);
+      Damage(R.error());
       continue;
     }
     Rec.Intact.push_back(Info.takeValue());
   }
-  ANOSY_OBS_SPAN_ARG(Span, "intact", Rec.Intact.size());
-  ANOSY_OBS_SPAN_ARG(Span, "damaged", Rec.Damaged.size());
-  ANOSY_OBS_SPAN_ARG(Span, "lost", Rec.Lost.size());
+  if (!Rec.TrailerValid)
+    Defect(Error(ErrorCode::ParseError,
+                 TrailerIdx == N
+                     ? "missing knowledge-base trailer (file truncated)"
+                     : "knowledge-base trailer checksum mismatch (file "
+                       "truncated or corrupted)"));
+  return Rec;
+}
+
+template <AbstractDomain D>
+Result<KnowledgeBase<D>> anosy::parseKnowledgeBase(const std::string &Text) {
+  auto Rec = salvageKnowledgeBase<D>(Text);
+  if (!Rec)
+    return Rec.error();
+  // A strict read is a salvage read with nothing to salvage.
+  if (!Rec->Damaged.empty() || !Rec->Lost.empty() || Rec->Stray != 0 ||
+      !Rec->TrailerValid)
+    return *Rec->FirstDefect;
+  return KnowledgeBase<D>{std::move(Rec->S), std::move(Rec->Intact)};
+}
+
+template <AbstractDomain D>
+Result<RecoveredKnowledgeBase<D>>
+anosy::recoverKnowledgeBase(const std::string &Text) {
+  ANOSY_OBS_SPAN(Span, "anosy.kb.recover");
+  auto Rec = salvageKnowledgeBase<D>(Text);
+  if (!Rec)
+    return Rec.error();
+  ANOSY_OBS_SPAN_ARG(Span, "intact", Rec->Intact.size());
+  ANOSY_OBS_SPAN_ARG(Span, "damaged", Rec->Damaged.size());
+  ANOSY_OBS_SPAN_ARG(Span, "lost", Rec->Lost.size());
   ANOSY_OBS_COUNT("anosy_kb_records_intact_total",
                   "Knowledge-base records recovered intact",
-                  Rec.Intact.size());
+                  Rec->Intact.size());
   ANOSY_OBS_COUNT("anosy_kb_records_damaged_total",
                   "Knowledge-base records salvaged for resynthesis",
-                  Rec.Damaged.size());
+                  Rec->Damaged.size());
   ANOSY_OBS_COUNT("anosy_kb_records_lost_total",
                   "Knowledge-base records dropped as unrecoverable",
-                  Rec.Lost.size());
+                  Rec->Lost.size());
   return Rec;
 }
 
@@ -657,10 +619,6 @@ Result<void> anosy::writeKnowledgeBaseFileAtomic(const std::string &Path,
 }
 
 // Explicit instantiations for the two shipped domains.
-template std::string anosy::serializeKnowledgeBase<Box>(
-    const Schema &, const std::vector<QueryInfo<Box>> &);
-template std::string anosy::serializeKnowledgeBase<PowerBox>(
-    const Schema &, const std::vector<QueryInfo<PowerBox>> &);
 template std::string anosy::serializeKnowledgeBaseV2<Box>(
     const Schema &, const std::vector<QueryInfo<Box>> &);
 template std::string anosy::serializeKnowledgeBaseV2<PowerBox>(

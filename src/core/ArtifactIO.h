@@ -31,10 +31,11 @@
 /// Version 2 adds crash-safety (DESIGN.md §6): every record carries a
 /// `record-checksum fnv1a64:<hex>` line covering its raw bytes, and the
 /// file ends with a `trailer fnv1a64:<hex>` line covering everything
-/// before it. The strict parser accepts both versions and rejects any
-/// integrity violation; recoverKnowledgeBase instead *salvages*, sorting
-/// records into intact / damaged (query body readable, artifacts not —
-/// resynthesize) / lost. Files are written atomically (temp + fsync +
+/// before it. Only v2 is written; v1 files still load. There is one
+/// reader: recoverKnowledgeBase *salvages*, sorting records into intact /
+/// damaged (query body readable, artifacts not — resynthesize) / lost,
+/// and parseKnowledgeBase is a salvage read that accepts only a file with
+/// nothing to salvage. Files are written atomically (temp + fsync +
 /// rename), so an interrupted export leaves the previous file readable.
 ///
 //===----------------------------------------------------------------------===//
@@ -46,6 +47,7 @@
 #include "expr/Module.h"
 #include "support/Result.h"
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,23 +59,20 @@ template <AbstractDomain D> struct KnowledgeBase {
   std::vector<QueryInfo<D>> Queries;
 };
 
-/// Renders \p Infos (all over schema \p S) to the v1 textual format
-/// (no integrity metadata; kept for compatibility).
-template <AbstractDomain D>
-std::string serializeKnowledgeBase(const Schema &S,
-                                   const std::vector<QueryInfo<D>> &Infos);
-
-/// Renders \p Infos to the v2 format: per-record checksums plus a
-/// whole-file trailer. Pair with writeKnowledgeBaseFileAtomic for
-/// crash-safe deployment.
+/// Renders \p Infos (all over schema \p S) to the v2 format: per-record
+/// checksums plus a whole-file trailer. Pair with
+/// writeKnowledgeBaseFileAtomic for crash-safe deployment.
 template <AbstractDomain D>
 std::string serializeKnowledgeBaseV2(const Schema &S,
                                      const std::vector<QueryInfo<D>> &Infos);
 
-/// Parses a knowledge base (v1 or v2); rejects malformed input, checksum
-/// mismatches, domain mismatches (interval file loaded as powerset or
-/// vice versa), query bodies outside the fragment, and boxes of the wrong
-/// arity. Never trusts its input: hostile bytes yield an Error, not UB.
+/// Parses a knowledge base (v1 or v2) strictly: a recoverKnowledgeBase
+/// read that must find every record intact, no stray line and, for v2, a
+/// valid trailer. Rejects malformed input, checksum mismatches, domain
+/// mismatches (interval file loaded as powerset or vice versa), query
+/// bodies outside the fragment, and boxes of the wrong arity, naming the
+/// first defect. Never trusts its input: hostile bytes yield an Error,
+/// not UB.
 template <AbstractDomain D>
 Result<KnowledgeBase<D>> parseKnowledgeBase(const std::string &Text);
 
@@ -87,11 +86,17 @@ template <AbstractDomain D> struct RecoveredKnowledgeBase {
   std::vector<QueryDef> Damaged;
   /// Records too damaged to recover even the query; best-effort names.
   std::vector<std::string> Lost;
+  /// Non-empty lines outside every record (the v2 trailer aside): nothing
+  /// to salvage, but a strict read rejects them.
+  size_t Stray = 0;
   int Version = 1;
   /// v2 only: the file trailer was present and matched. A false value
   /// with all records intact means the file was truncated after the last
   /// complete record.
   bool TrailerValid = true;
+  /// The first damaged, lost or stray line in file order, else the
+  /// trailer defect; unset when a strict read would accept the file.
+  std::optional<Error> FirstDefect;
 };
 
 /// Best-effort recovery: fails only when the header or schema is

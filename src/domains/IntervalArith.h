@@ -26,6 +26,7 @@
 #include "support/Tribool.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace anosy {
 namespace iarith {
@@ -52,6 +53,21 @@ inline int64_t satMul(int64_t A, int64_t B) {
 
 /// Saturating int64 negation.
 inline int64_t satNeg(int64_t A) { return A == INT64_MIN ? INT64_MAX : -A; }
+
+/// Floor division (rounds toward -inf); \p B must be non-zero. Inverts
+/// multiplication by a constant when narrowing.
+inline int64_t floorDiv(int64_t A, int64_t B) {
+  assert(B != 0 && "division by zero");
+  int64_t Q = A / B, R = A % B;
+  return (R != 0 && ((R < 0) != (B < 0))) ? Q - 1 : Q;
+}
+
+/// Ceiling division (rounds toward +inf); \p B must be non-zero.
+inline int64_t ceilDiv(int64_t A, int64_t B) {
+  assert(B != 0 && "division by zero");
+  int64_t Q = A / B, R = A % B;
+  return (R != 0 && ((R < 0) == (B < 0))) ? Q + 1 : Q;
+}
 
 inline Interval rangeAdd(const Interval &A, const Interval &B) {
   return {satAdd(A.Lo, B.Lo), satAdd(A.Hi, B.Hi)};

@@ -94,11 +94,17 @@ bool PowerBox::subsetOfSyntactic(const PowerBox &O) const {
 
 PowerBox PowerBox::intersect(const PowerBox &O) const {
   assert(Arity == O.Arity && "arity mismatch");
-  std::vector<Box> NewIncludes;
+  // Collect the pairwise meets (A-major: pruneForUnder breaks volume ties
+  // on this order) in per-thread scratch that keeps its capacity, then
+  // copy them out at exact size: one allocation instead of a doubling
+  // series.
+  thread_local std::vector<Box> Scratch;
+  Scratch.clear();
   for (const Box &A : Includes)
     for (const Box &B : O.Includes)
       if (A.intersects(B))
-        NewIncludes.push_back(A.intersect(B));
+        Scratch.push_back(A.intersect(B));
+  std::vector<Box> NewIncludes(Scratch.begin(), Scratch.end());
   // Meets of two disjoint families are pairwise disjoint (any two of them
   // lie in disjoint boxes of one side), so none contains another and
   // normalize() would return them unchanged.

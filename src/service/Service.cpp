@@ -2,6 +2,8 @@
 
 #include "service/Service.h"
 
+#include "obs/Trace.h"
+
 #include <cstdio>
 
 using namespace anosy;
@@ -37,39 +39,6 @@ const char *anosy::service::responseStatusName(ResponseStatus S) {
   return "unknown";
 }
 
-std::string anosy::service::jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 8);
-  for (char Ch : S) {
-    switch (Ch) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(Ch) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", Ch & 0xff);
-        Out += Buf;
-      } else {
-        Out += Ch;
-      }
-    }
-  }
-  return Out;
-}
-
 std::string ServiceResponse::renderJson() const {
   std::string Out = "{\"id\":" + std::to_string(Id);
   Out += ",\"status\":\"";
@@ -93,14 +62,14 @@ std::string ServiceResponse::renderJson() const {
     for (size_t I = 0; I != Degraded.size(); ++I) {
       if (I != 0)
         Out += ',';
-      Out += "{\"query\":\"" + jsonEscape(Degraded[I].Name) + "\",\"code\":\"";
+      Out += "{\"query\":" + obs::jsonQuote(Degraded[I].Name) + ",\"code\":\"";
       Out += reasonCodeName(Degraded[I].Code);
       Out += Degraded[I].FellBack ? "\",\"bottom\":true}" : "\",\"bottom\":false}";
     }
     Out += ']';
   }
   if (!Detail.empty())
-    Out += ",\"detail\":\"" + jsonEscape(Detail) + '"';
+    Out += ",\"detail\":" + obs::jsonQuote(Detail);
   if (Seconds > 0) {
     char Buf[32];
     std::snprintf(Buf, sizeof(Buf), "%.6f", Seconds);

@@ -121,10 +121,6 @@ struct ServiceResponse {
   std::string renderJson() const;
 };
 
-/// JSON string escaping for the renderers (quotes, backslashes, control
-/// characters).
-std::string jsonEscape(const std::string &S);
-
 } // namespace anosy::service
 
 #endif // ANOSY_SERVICE_SERVICE_H

@@ -60,7 +60,8 @@ struct SynthOptions {
   bool KeepPartialOnExhaustion = false;
   /// Search-region seeds (DESIGN.md §7): sound over-approximations of
   /// the True/False answer branches over the schema prior. The cache's
-  /// parent seeds set them (cache/ArtifactCache.h, applyCacheSeeds).
+  /// parent seeds set them (ArtifactCache::lookupSeeds, applied by the
+  /// session's registration pass in core/AnosySession.cpp).
   /// When set, the matching response's search is confined to Bounds ∩
   /// region — every valid artifact for a response lies inside its
   /// region, so nothing is lost — and the region's faces are published

@@ -269,9 +269,19 @@ TEST(LeakageAnalyzer, RelationalPragmaParsing) {
 }
 
 TEST(LeakageAnalyzer, JsonEscaping) {
-  EXPECT_EQ(jsonEscape("plain"), "plain");
-  EXPECT_EQ(jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(jsonEscape("x\ny"), "x\\ny");
+  // Module names are file paths and reach the JSON report verbatim; the
+  // report must stay valid JSON whatever characters they hold.
+  Module M = parse("secret S { x: int[0, 10] }\n"
+                   "query q = x <= 5\n");
+  std::vector<LintedModule> Mods;
+  for (const char *Name : {"plain", "a\"b\\c", "x\ny", "cr\rlf"})
+    Mods.push_back({Name, LintOptions{}, analyzeModule(M, {})});
+  std::string Json = renderLintJson(Mods);
+  EXPECT_NE(Json.find("{\"module\": \"plain\","), std::string::npos);
+  EXPECT_NE(Json.find("{\"module\": \"a\\\"b\\\\c\","), std::string::npos);
+  EXPECT_NE(Json.find("{\"module\": \"x\\ny\","), std::string::npos);
+  EXPECT_NE(Json.find("{\"module\": \"cr\\rlf\","), std::string::npos);
+  EXPECT_EQ(Json.find('\r'), std::string::npos);
 }
 
 // === Session integration: admission without solver spend ===============

@@ -53,8 +53,8 @@ std::vector<QueryInfo<D>> synthesizeAll(const Module &M, unsigned K) {
 TEST(ArtifactIO, IntervalRoundTrip) {
   Module M = nearbyModule();
   auto Infos = synthesizeAll<Box>(M, 1);
-  std::string Text = serializeKnowledgeBase(M.schema(), Infos);
-  EXPECT_NE(Text.find("anosy-knowledge-base v1 domain interval"),
+  std::string Text = serializeKnowledgeBaseV2(M.schema(), Infos);
+  EXPECT_NE(Text.find("anosy-knowledge-base v2 domain interval"),
             std::string::npos);
 
   auto KB = parseKnowledgeBase<Box>(Text);
@@ -74,7 +74,7 @@ TEST(ArtifactIO, IntervalRoundTrip) {
 TEST(ArtifactIO, PowersetRoundTrip) {
   Module M = nearbyModule();
   auto Infos = synthesizeAll<PowerBox>(M, 3);
-  std::string Text = serializeKnowledgeBase(M.schema(), Infos);
+  std::string Text = serializeKnowledgeBaseV2(M.schema(), Infos);
   auto KB = parseKnowledgeBase<PowerBox>(Text);
   ASSERT_TRUE(KB.ok()) << KB.error().str();
   ASSERT_EQ(KB->Queries.size(), 2u);
@@ -89,7 +89,7 @@ TEST(ArtifactIO, LoadedArtifactsStillVerify) {
   // so a tampered knowledge base is caught before enforcement trusts it.
   Module M = nearbyModule();
   auto Infos = synthesizeAll<PowerBox>(M, 3);
-  std::string Text = serializeKnowledgeBase(M.schema(), Infos);
+  std::string Text = serializeKnowledgeBaseV2(M.schema(), Infos);
   auto KB = parseKnowledgeBase<PowerBox>(Text);
   ASSERT_TRUE(KB.ok());
   for (const QueryInfo<PowerBox> &Info : KB->Queries) {
@@ -104,7 +104,7 @@ TEST(ArtifactIO, TamperedArtifactFailsVerification) {
   auto Infos = synthesizeAll<Box>(M, 1);
   // Inflate the True box beyond the diamond.
   Infos[0].Ind.TrueSet = Box({{0, 400}, {0, 400}});
-  std::string Text = serializeKnowledgeBase(M.schema(), Infos);
+  std::string Text = serializeKnowledgeBaseV2(M.schema(), Infos);
   auto KB = parseKnowledgeBase<Box>(Text);
   ASSERT_TRUE(KB.ok());
   RefinementChecker Checker(KB->S, KB->Queries[0].QueryExpr);
@@ -115,7 +115,7 @@ TEST(ArtifactIO, TamperedArtifactFailsVerification) {
 TEST(ArtifactIO, LoadIntoTrackerSkipsSynthesis) {
   Module M = nearbyModule();
   std::string Text =
-      serializeKnowledgeBase(M.schema(), synthesizeAll<PowerBox>(M, 3));
+      serializeKnowledgeBaseV2(M.schema(), synthesizeAll<PowerBox>(M, 3));
   auto KB = parseKnowledgeBase<PowerBox>(Text);
   ASSERT_TRUE(KB.ok());
 
@@ -137,7 +137,7 @@ TEST(ArtifactIO, EmptyDomainsSerialize) {
   Info.Ind.TrueSet = Box::bottom(1);
   Info.Ind.FalseSet = Box({{0, 10}});
   std::vector<QueryInfo<Box>> Infos{Info};
-  std::string Text = serializeKnowledgeBase(S, Infos);
+  std::string Text = serializeKnowledgeBaseV2(S, Infos);
   auto KB = parseKnowledgeBase<Box>(Text);
   ASSERT_TRUE(KB.ok()) << KB.error().str();
   EXPECT_TRUE(KB->Queries[0].Ind.TrueSet.isEmpty());
@@ -153,7 +153,7 @@ TEST(ArtifactIO, NegativeCoordinatesRoundTrip) {
   Info.Ind.TrueSet = Box({{-74100000, -74050000}});
   Info.Ind.FalseSet = Box({{-74049999, -74000000}});
   std::vector<QueryInfo<Box>> Infos{Info};
-  auto KB = parseKnowledgeBase<Box>(serializeKnowledgeBase(S, Infos));
+  auto KB = parseKnowledgeBase<Box>(serializeKnowledgeBaseV2(S, Infos));
   ASSERT_TRUE(KB.ok()) << KB.error().str();
   EXPECT_EQ(KB->Queries[0].Ind.TrueSet, Info.Ind.TrueSet);
 }
@@ -188,7 +188,7 @@ TEST(ArtifactIO, OverlappingIncludesLoadWithExactSize) {
 TEST(ArtifactIO, RejectsDomainMismatch) {
   Module M = nearbyModule();
   std::string Text =
-      serializeKnowledgeBase(M.schema(), synthesizeAll<PowerBox>(M, 3));
+      serializeKnowledgeBaseV2(M.schema(), synthesizeAll<PowerBox>(M, 3));
   auto KB = parseKnowledgeBase<Box>(Text);
   ASSERT_FALSE(KB.ok());
   EXPECT_NE(KB.error().message().find("domain"), std::string::npos);

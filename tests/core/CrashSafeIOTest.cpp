@@ -103,18 +103,39 @@ TEST(CrashSafeIO, V2PowersetRoundTrips) {
 }
 
 TEST(CrashSafeIO, V1FilesStillLoad) {
-  Module M = nearbyModule();
-  std::string Text = serializeKnowledgeBase(M.schema(), synthesizeAll(M));
-  auto KB = parseKnowledgeBase<Box>(Text);
+  // Nothing writes v1 any more; the shipped fixture pins the format.
+  auto Text = readKnowledgeBaseFile(ANOSY_KB_CORPUS_DIR "/valid_v1.akb");
+  ASSERT_TRUE(Text.ok()) << Text.error().str();
+  auto KB = parseKnowledgeBase<Box>(*Text);
   ASSERT_TRUE(KB.ok()) << KB.error().str();
-  EXPECT_EQ(KB->Queries.size(), 2u);
-  auto Rec = recoverKnowledgeBase<Box>(Text);
+  ASSERT_EQ(KB->Queries.size(), 1u);
+  EXPECT_EQ(KB->Queries[0].Name, "small");
+  EXPECT_EQ(KB->Queries[0].Ind.TrueSet, Box({{0, 5}, {0, 5}}));
+  auto Rec = recoverKnowledgeBase<Box>(*Text);
   ASSERT_TRUE(Rec.ok()) << Rec.error().str();
   EXPECT_EQ(Rec->Version, 1);
   EXPECT_TRUE(Rec->TrailerValid); // v1 has no trailer to be invalid.
-  EXPECT_EQ(Rec->Intact.size(), 2u);
+  EXPECT_EQ(Rec->Intact.size(), 1u);
   EXPECT_TRUE(Rec->Damaged.empty());
   EXPECT_TRUE(Rec->Lost.empty());
+  EXPECT_EQ(Rec->Stray, 0u);
+}
+
+TEST(CrashSafeIO, StrayLineFailsOnlyTheStrictRead) {
+  // v1 has no checksums, so only the salvage scan's stray count can
+  // reject a line outside every record.
+  auto Text = readKnowledgeBaseFile(ANOSY_KB_CORPUS_DIR "/valid_v1.akb");
+  ASSERT_TRUE(Text.ok()) << Text.error().str();
+  std::string Stray = *Text;
+  Stray.insert(Stray.find("query small"), "true include [0, 1] [0, 1]\n");
+  auto Rec = recoverKnowledgeBase<Box>(Stray);
+  ASSERT_TRUE(Rec.ok()) << Rec.error().str();
+  EXPECT_EQ(Rec->Intact.size(), 1u);
+  EXPECT_EQ(Rec->Stray, 1u);
+  auto KB = parseKnowledgeBase<Box>(Stray);
+  ASSERT_FALSE(KB.ok());
+  EXPECT_NE(KB.error().message().find("expected a 'query' record"),
+            std::string::npos);
 }
 
 TEST(CrashSafeIO, BitFlipIsDetectedStrictly) {

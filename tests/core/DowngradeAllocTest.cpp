@@ -126,7 +126,7 @@ TEST(DowngradeAlloc, Fig6MonitorRound) {
                   static_cast<double>(Admitted),
               static_cast<double>(RefusedAllocs) /
                   static_cast<double>(std::max<uint64_t>(Refused, 1)));
-  EXPECT_LE(PerDowngrade, 12.0);
+  EXPECT_LE(PerDowngrade, 3.0);
 }
 
 TEST(DowngradeAlloc, TwoFieldBoxesAllocateNothing) {

@@ -4,7 +4,7 @@
 # accepted all of these silently. Retired flags must be rejected (exit 2),
 # not ignored.
 # Run via:  ctest -R cli_rejects_bad_numerics
-foreach(tool ANOSY_CLI ANOSYD FIG5A FIG5B FIG6 COMPILED_EVAL)
+foreach(tool ANOSY_CLI ANOSYD FIG5A FIG5B FIG6 COMPILED_EVAL MODULES_DIR)
   if(NOT DEFINED ${tool})
     message(FATAL_ERROR
       "pass -D${tool}=<path>; see tests/CMakeLists.txt for the full list")
@@ -67,6 +67,51 @@ expect_usage_error("unknown" ${seeds_flag})
 expect_tool_usage_error(${ANOSYD} "usage" --relational off)
 expect_tool_usage_error(${ANOSYD} "invalid value for --sps" --sps abc)
 expect_tool_usage_error(${ANOSYD} "invalid value for --burst" --burst x)
+
+# anosyd's stdin protocol parses request numbers in full too. `>>` read
+# `abc` as no min-size (the permissive policy), `1O0` as min-size 1 and
+# the secret `300 2x` as (300, 2); each now answers "bad request line",
+# as does a token past the last argument.
+#
+# Feeds the requests in ARGN (one per argument) to anosyd's stdin from a
+# file and requires its last response line to match \p expected.
+function(expect_anosyd_last_reply expected)
+  set(requests "${CMAKE_CURRENT_BINARY_DIR}/anosyd_requests.txt")
+  string(REPLACE ";" "\n" text "${ARGN}")
+  file(WRITE "${requests}" "${text}\n")
+  execute_process(
+    COMMAND ${ANOSYD} --workers 1
+    INPUT_FILE "${requests}"
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  file(REMOVE "${requests}")
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "anosyd <<< ${ARGN}: exit ${rc}\nstderr: ${err}")
+  endif()
+  string(REGEX MATCH "[^\n]*\n?$" last "${out}")
+  if(NOT last MATCHES "${expected}")
+    message(FATAL_ERROR
+      "anosyd <<< ${ARGN}: last reply does not match '${expected}': ${out}")
+  endif()
+endfunction()
+
+set(quickstart "${MODULES_DIR}/quickstart.anosy")
+set(bad_line "\"detail\":\"bad request line\"")
+expect_anosyd_last_reply("${bad_line}" "register typo ${quickstart} abc")
+expect_anosyd_last_reply("${bad_line}" "register oh ${quickstart} 1O0")
+expect_anosyd_last_reply("${bad_line}" "register two ${quickstart} 100 7")
+expect_anosyd_last_reply("${bad_line}"
+                         "register good ${quickstart} 100"
+                         "downgrade good nearby300 300 2x")
+expect_anosyd_last_reply("${bad_line}"
+                         "register good ${quickstart} 100"
+                         "flush good extra")
+expect_anosyd_last_reply("${bad_line}" "stats now")
+# Well-formed lines still reach the daemon.
+expect_anosyd_last_reply("\"status\":\"ok\""
+                         "register good ${quickstart} 100"
+                         "downgrade good nearby300 300 200")
 
 # Bench drivers: every count flag must parse in full and be at least 1.
 # `--runs 0` indexed an empty sample vector (exit 139), atoi read `--k abc`

@@ -18,6 +18,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/AnosySession.h"
+#include "core/ArtifactIO.h"
 
 #include "expr/Parser.h"
 #include "support/FaultInjection.h"

@@ -32,7 +32,7 @@ TEST(Persistence, NearbyTraceThroughExportReload) {
     ASSERT_TRUE(Sets.ok());
     Infos.push_back({Q.Name, Q.Body, Sets.takeValue(), ApproxKind::Under});
   }
-  std::string KBText = serializeKnowledgeBase(S, Infos);
+  std::string KBText = serializeKnowledgeBaseV2(S, Infos);
 
   // Deploy time: reload and enforce the §3 trace.
   auto KB = parseKnowledgeBase<PowerBox>(KBText);
@@ -71,7 +71,7 @@ TEST_P(RandomKnowledgeBases, RoundTripPreservesArtifacts) {
                      ApproxKind::Under});
   }
 
-  auto KB = parseKnowledgeBase<PowerBox>(serializeKnowledgeBase(S, Infos));
+  auto KB = parseKnowledgeBase<PowerBox>(serializeKnowledgeBaseV2(S, Infos));
   ASSERT_TRUE(KB.ok()) << KB.error().str();
   ASSERT_EQ(KB->Queries.size(), Infos.size());
   for (size_t I = 0; I != Infos.size(); ++I) {

@@ -49,6 +49,11 @@ TEST(Trace, JsonQuoteEscapes) {
   EXPECT_EQ(jsonQuote("back\\slash"), "\"back\\\\slash\"");
   EXPECT_EQ(jsonQuote("line\nbreak"), "\"line\\nbreak\"");
   EXPECT_EQ(jsonQuote(std::string("ctl\x01", 4)), "\"ctl\\u0001\"");
+  // The lint and service renderers quote through it too.
+  EXPECT_EQ(jsonQuote("a\"b\\c"), "\"a\\\"b\\\\c\"");
+  EXPECT_EQ(jsonQuote("x\ny"), "\"x\\ny\"");
+  EXPECT_EQ(jsonQuote("cr\rlf"), "\"cr\\rlf\"");
+  EXPECT_EQ(jsonQuote("tab\there"), "\"tab\\there\"");
 }
 
 TEST(Trace, SpanRecordsOnDestruction) {
