@@ -29,22 +29,23 @@ bool forEachCellRec(
     return Callback(Prefix, InList);
   }
 
-  // Breakpoints: interval starts and one-past-ends in dimension D.
-  std::vector<int64_t> Cuts;
+  // Breakpoints: interval starts and one-past-ends in dimension D. Schemas
+  // admit Hi == INT64_MAX, whose one-past-end is 2^63: cuts are 128-bit,
+  // and every slab [Cuts[i], Cuts[i+1] - 1] is back in int64 range.
+  std::vector<__int128> Cuts;
   Cuts.reserve(Entries.size() * 2);
   for (const Entry &E : Entries) {
     const Interval &I = E.B->dim(D);
     Cuts.push_back(I.Lo);
-    // I.Hi + 1 cannot overflow for the bounded schemas we handle, but be
-    // careful anyway: Hi == INT64_MAX never occurs after schema checks.
-    Cuts.push_back(I.Hi + 1);
+    Cuts.push_back(static_cast<__int128>(I.Hi) + 1);
   }
   std::sort(Cuts.begin(), Cuts.end());
   Cuts.erase(std::unique(Cuts.begin(), Cuts.end()), Cuts.end());
 
   std::vector<Entry> Slab;
   for (size_t CI = 0; CI + 1 < Cuts.size(); ++CI) {
-    int64_t Lo = Cuts[CI], Hi = Cuts[CI + 1] - 1;
+    int64_t Lo = static_cast<int64_t>(Cuts[CI]);
+    int64_t Hi = static_cast<int64_t>(Cuts[CI + 1] - 1);
     Slab.clear();
     for (const Entry &E : Entries) {
       const Interval &I = E.B->dim(D);
@@ -134,4 +135,12 @@ std::vector<Box> anosy::pruneSubsumed(std::vector<Box> Boxes) {
       Kept.push_back(B);
   }
   return Kept;
+}
+
+bool anosy::pairwiseDisjoint(const std::vector<Box> &Boxes) {
+  for (size_t I = 0, E = Boxes.size(); I != E; ++I)
+    for (size_t J = I + 1; J != E; ++J)
+      if (Boxes[I].intersects(Boxes[J]))
+        return false;
+  return true;
 }

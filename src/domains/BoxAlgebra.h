@@ -52,6 +52,9 @@ bool unionCovers(const std::vector<Box> &Cover, const Box &Target);
 /// Preserves the union exactly.
 std::vector<Box> pruneSubsumed(std::vector<Box> Boxes);
 
+/// True when no two boxes of \p Boxes share a point.
+bool pairwiseDisjoint(const std::vector<Box> &Boxes);
+
 } // namespace anosy
 
 #endif // ANOSY_DOMAINS_BOXALGEBRA_H

@@ -6,19 +6,6 @@
 
 using namespace anosy;
 
-namespace {
-
-/// True when no two boxes of \p Boxes share a point.
-bool pairwiseDisjoint(const std::vector<Box> &Boxes) {
-  for (size_t I = 0, E = Boxes.size(); I != E; ++I)
-    for (size_t J = I + 1; J != E; ++J)
-      if (Boxes[I].intersects(Boxes[J]))
-        return false;
-  return true;
-}
-
-} // namespace
-
 PowerBox::PowerBox(size_t Arity, std::vector<Box> InIncludes,
                    std::vector<Box> InExcludes)
     : Arity(Arity), Includes(std::move(InIncludes)),

@@ -32,14 +32,6 @@ bool saltedLeftFirst(uint64_t Salt, uint64_t Code) {
   return Salt == 0 || (mix64(Code ^ Salt) & 1) == 0;
 }
 
-/// Builds the normalized split hints of \p P (solver/SplitHints.h).
-SplitHints hintsOf(const Predicate &P) {
-  SplitHints Hints;
-  P.splitHints(Hints);
-  normalizeSplitHints(Hints);
-  return Hints;
-}
-
 /// The ∃-search. Which half of each split is explored first is
 /// saltedLeftFirst(Salt, path code), so restarts with different salts
 /// reach different witnesses.
@@ -49,7 +41,7 @@ ExistsResult findWitnessImpl(const Predicate &P, const Box &B, uint64_t Salt,
   if (B.isEmpty())
     return Result;
 
-  const SplitHints Hints = hintsOf(P);
+  const SplitHints &Hints = P.hints();
   struct Entry {
     Box B;
     uint64_t Code;
@@ -102,7 +94,7 @@ ForallResult anosy::checkForall(const Predicate &P, const Box &B,
   if (B.isEmpty())
     return Result;
 
-  const SplitHints Hints = hintsOf(P);
+  const SplitHints &Hints = P.hints();
   std::vector<Box> Stack;
   Stack.push_back(B);
   while (!Stack.empty()) {

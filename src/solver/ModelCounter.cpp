@@ -14,10 +14,7 @@ CountResult anosy::countSat(const Predicate &P, const Box &B,
   if (B.isEmpty())
     return Result;
 
-  SplitHints Hints;
-  P.splitHints(Hints);
-  normalizeSplitHints(Hints);
-
+  const SplitHints &Hints = P.hints();
   std::vector<Box> Stack;
   Stack.push_back(B);
   while (!Stack.empty()) {

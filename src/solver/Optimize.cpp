@@ -22,18 +22,35 @@ const char *anosy::growObjectiveName(GrowObjective Obj) {
 
 namespace {
 
+/// min(2 * X, Cap) for 0 < X <= Cap, without overflow.
+int64_t doubledUpTo(int64_t X, int64_t Cap) {
+  return X <= Cap / 2 ? X * 2 : Cap;
+}
+
+/// ceil((Lo + Hi) / 2) for Lo <= Hi, computed in uint64 like
+/// Interval::midpoint(): exact on every interval, full range included.
+int64_t upperMidpoint(int64_t Lo, int64_t Hi) {
+  uint64_t Diff = static_cast<uint64_t>(Hi) - static_cast<uint64_t>(Lo);
+  return static_cast<int64_t>(static_cast<uint64_t>(Lo) + Diff / 2 +
+                              (Diff & 1));
+}
+
 /// Largest extension of \p Cur's dimension \p D by a slab on side \p Upper
 /// that keeps every new point valid. Returns the new interval for D.
 /// Uses exponential probing then binary refinement; each probe checks only
 /// the *new* slab (the current box is already valid, and validity of a
-/// slab is antitone in its size).
+/// slab is antitone in its size). On fields wider than 2^63 the room past
+/// a face can exceed INT64_MAX; it is capped there, so every step and
+/// every slab face stays in int64 range, and a later round extends on.
 Interval extendSide(const Predicate &Valid, const Box &Cur, size_t D,
                     bool Upper, const Interval &Limit, int64_t MaxStep,
                     SolverBudget &Budget, bool &Exhausted) {
   const Interval &CurD = Cur.dim(D);
-  int64_t Room = Upper ? Limit.Hi - CurD.Hi : CurD.Lo - Limit.Lo;
-  if (Room <= 0)
+  __int128 Gap = Upper ? static_cast<__int128>(Limit.Hi) - CurD.Hi
+                       : static_cast<__int128>(CurD.Lo) - Limit.Lo;
+  if (Gap <= 0)
     return CurD;
+  int64_t Room = Gap > INT64_MAX ? INT64_MAX : static_cast<int64_t>(Gap);
   if (MaxStep > 0)
     Room = std::min(Room, MaxStep);
 
@@ -53,14 +70,14 @@ Interval extendSide(const Predicate &Valid, const Box &Cur, size_t D,
     Good = Probe;
     if (Probe == Room)
       break;
-    Probe = std::min(Room, Probe * 2);
+    Probe = doubledUpTo(Probe, Room);
   }
   if (Good == 0)
     return CurD;
   // Binary refinement in (Good, min(2*Good, Room)].
-  int64_t Lo = Good, Hi = std::min(Room, Good * 2);
+  int64_t Lo = Good, Hi = doubledUpTo(Good, Room);
   while (Lo < Hi && !Exhausted) {
-    int64_t Mid = Lo + (Hi - Lo + 1) / 2;
+    int64_t Mid = upperMidpoint(Lo, Hi);
     if (SlabValid(Mid))
       Lo = Mid;
     else
@@ -86,7 +103,8 @@ Box growFrom(const Predicate &Valid, const Point &SeedPoint,
       if (Capped) {
         // Cap the per-round growth at the current width so all dimensions
         // advance together (§5.3's preference for square-ish boxes).
-        MaxStep = std::max<int64_t>(1, Cur.dim(D).Hi - Cur.dim(D).Lo + 1);
+        BigCount Width = Cur.dim(D).width();
+        MaxStep = Width.fitsInt64() ? Width.toInt64() : INT64_MAX;
       }
       for (bool Upper : {true, false}) {
         Interval NewD = extendSide(Valid, Cur, D, Upper, Bounds.dim(D),
@@ -105,8 +123,8 @@ Box growFrom(const Predicate &Valid, const Point &SeedPoint,
 bool widthDominates(const Box &A, const Box &B) {
   bool Strict = false;
   for (size_t D = 0, N = A.arity(); D != N; ++D) {
-    int64_t WA = A.dim(D).Hi - A.dim(D).Lo;
-    int64_t WB = B.dim(D).Hi - B.dim(D).Lo;
+    BigCount WA = A.dim(D).width();
+    BigCount WB = B.dim(D).width();
     if (WA < WB)
       return false;
     if (WA > WB)
@@ -115,11 +133,11 @@ bool widthDominates(const Box &A, const Box &B) {
   return Strict;
 }
 
-/// Smallest dimension width of \p B.
-int64_t minWidth(const Box &B) {
-  int64_t Min = INT64_MAX;
-  for (size_t D = 0, N = B.arity(); D != N; ++D)
-    Min = std::min(Min, B.dim(D).Hi - B.dim(D).Lo + 1);
+/// Smallest dimension width of the non-empty box \p B.
+BigCount minWidth(const Box &B) {
+  BigCount Min = B.dim(0).width();
+  for (size_t D = 1, N = B.arity(); D != N; ++D)
+    Min = std::min(Min, B.dim(D).width());
   return Min;
 }
 
@@ -223,7 +241,7 @@ BoundResult anosy::tightBoundingBox(const Predicate &P, const Box &Bounds,
     // is monotone in c, so binary search applies.
     int64_t Lo = Full.Lo, Hi = W[D];
     while (Lo < Hi) {
-      int64_t Mid = Lo + (Hi - Lo) / 2;
+      int64_t Mid = Interval{Lo, Hi}.midpoint();
       ExistsResult E =
           findWitness(P, Bounds.withDim(D, {Full.Lo, Mid}), Budget);
       if (E.Exhausted) {
@@ -241,7 +259,7 @@ BoundResult anosy::tightBoundingBox(const Predicate &P, const Box &Bounds,
     Lo = W[D];
     Hi = Full.Hi;
     while (Lo < Hi) {
-      int64_t Mid = Lo + (Hi - Lo + 1) / 2;
+      int64_t Mid = upperMidpoint(Lo, Hi);
       ExistsResult E =
           findWitness(P, Bounds.withDim(D, {Mid, Full.Hi}), Budget);
       if (E.Exhausted) {

@@ -7,6 +7,8 @@
 #include "expr/Eval.h"
 #include "solver/RangeEval.h"
 
+#include <algorithm>
+
 using namespace anosy;
 
 namespace {
@@ -19,12 +21,39 @@ TapeScratch &tapeScratch() {
   return S;
 }
 
+/// The normalized hints of the boolean query \p E.
+SplitHints exprHints(const ExprRef &E) {
+  assert(E && E->isBoolSorted() &&
+         "query predicates wrap boolean expressions");
+  SplitHints Hints;
+  collectExprSplitHints(*E, Hints);
+  normalizeSplitHints(Hints);
+  return Hints;
+}
+
+/// The normalized face coordinates of \p Boxes.
+SplitHints faceHints(const std::vector<Box> &Boxes) {
+  SplitHints Hints;
+  for (const Box &B : Boxes)
+    collectBoxSplitHints(B, Hints);
+  normalizeSplitHints(Hints);
+  return Hints;
+}
+
+/// |A ∩ B|, one dimension at a time: no box is built, so boxes of any
+/// arity allocate nothing. Saturates like every BigCount product.
+BigCount overlapVolume(const Box &A, const Box &B) {
+  BigCount V(1);
+  for (size_t D = 0, N = A.arity(); D != N; ++D)
+    V = V * BigCount::ofInterval(std::max(A.dim(D).Lo, B.dim(D).Lo),
+                                 std::min(A.dim(D).Hi, B.dim(D).Hi));
+  return V;
+}
+
 class ExprPred final : public Predicate {
 public:
-  ExprPred(ExprRef E, TapeRef T) : E(std::move(E)), T(std::move(T)) {
-    assert(this->E && this->E->isBoolSorted() &&
-           "query predicates wrap boolean expressions");
-  }
+  ExprPred(ExprRef E, TapeRef T)
+      : Predicate(exprHints(E)), E(std::move(E)), T(std::move(T)) {}
 
   Tribool evalBox(const Box &B) const override {
     if (T)
@@ -35,9 +64,6 @@ public:
   // int64 arithmetic while the tape saturates, and points must keep the
   // tree walk's exact concrete semantics.
   bool evalPoint(const Point &P) const override { return evalBool(*E, P); }
-  void splitHints(SplitHints &Hints) const override {
-    collectExprSplitHints(*E, Hints);
-  }
   std::string str() const override { return E->str(); }
 
 private:
@@ -59,13 +85,12 @@ private:
 
 class NotPred final : public Predicate {
 public:
-  explicit NotPred(PredicateRef A) : A(std::move(A)) {}
+  explicit NotPred(PredicateRef A) : Predicate(A->hints()), A(std::move(A)) {}
 
   Tribool evalBox(const Box &B) const override {
     return triNot(A->evalBox(B));
   }
   bool evalPoint(const Point &P) const override { return !A->evalPoint(P); }
-  void splitHints(SplitHints &Hints) const override { A->splitHints(Hints); }
   std::string str() const override { return "!(" + A->str() + ")"; }
 
 private:
@@ -74,7 +99,9 @@ private:
 
 class AndPred final : public Predicate {
 public:
-  AndPred(PredicateRef A, PredicateRef B) : A(std::move(A)), B(std::move(B)) {}
+  AndPred(PredicateRef A, PredicateRef B)
+      : Predicate(mergeSplitHints(A->hints(), B->hints())), A(std::move(A)),
+        B(std::move(B)) {}
 
   Tribool evalBox(const Box &Bx) const override {
     Tribool TA = A->evalBox(Bx);
@@ -84,10 +111,6 @@ public:
   }
   bool evalPoint(const Point &P) const override {
     return A->evalPoint(P) && B->evalPoint(P);
-  }
-  void splitHints(SplitHints &Hints) const override {
-    A->splitHints(Hints);
-    B->splitHints(Hints);
   }
   std::string str() const override {
     return "(" + A->str() + ") && (" + B->str() + ")";
@@ -99,7 +122,9 @@ private:
 
 class OrPred final : public Predicate {
 public:
-  OrPred(PredicateRef A, PredicateRef B) : A(std::move(A)), B(std::move(B)) {}
+  OrPred(PredicateRef A, PredicateRef B)
+      : Predicate(mergeSplitHints(A->hints(), B->hints())), A(std::move(A)),
+        B(std::move(B)) {}
 
   Tribool evalBox(const Box &Bx) const override {
     Tribool TA = A->evalBox(Bx);
@@ -109,10 +134,6 @@ public:
   }
   bool evalPoint(const Point &P) const override {
     return A->evalPoint(P) || B->evalPoint(P);
-  }
-  void splitHints(SplitHints &Hints) const override {
-    A->splitHints(Hints);
-    B->splitHints(Hints);
   }
   std::string str() const override {
     return "(" + A->str() + ") || (" + B->str() + ")";
@@ -124,7 +145,8 @@ private:
 
 class InBoxPred final : public Predicate {
 public:
-  explicit InBoxPred(Box Target) : Target(std::move(Target)) {}
+  explicit InBoxPred(Box Target)
+      : Predicate(faceHints({Target})), Target(std::move(Target)) {}
 
   Tribool evalBox(const Box &B) const override {
     if (Target.isEmpty())
@@ -136,9 +158,6 @@ public:
     return Tribool::Unknown;
   }
   bool evalPoint(const Point &P) const override { return Target.contains(P); }
-  void splitHints(SplitHints &Hints) const override {
-    collectBoxSplitHints(Target, Hints);
-  }
   std::string str() const override { return "in " + Target.str(); }
 
 private:
@@ -147,8 +166,10 @@ private:
 
 class InUnionPred final : public Predicate {
 public:
-  explicit InUnionPred(std::vector<Box> InBoxes)
-      : Boxes(pruneSubsumed(std::move(InBoxes))) {}
+  /// \p Pruned has been through pruneSubsumed.
+  explicit InUnionPred(std::vector<Box> Pruned)
+      : Predicate(faceHints(Pruned)), Boxes(std::move(Pruned)),
+        Disjoint(pairwiseDisjoint(Boxes)) {}
 
   Tribool evalBox(const Box &B) const override {
     bool AnyOverlap = false;
@@ -161,19 +182,13 @@ public:
     if (!AnyOverlap)
       return Tribool::False;
     // Several boxes may jointly cover B even though none does alone.
-    if (unionCovers(Boxes, B))
-      return Tribool::True;
-    return Tribool::Unknown;
+    return coversJointly(B) ? Tribool::True : Tribool::Unknown;
   }
   bool evalPoint(const Point &P) const override {
     for (const Box &T : Boxes)
       if (T.contains(P))
         return true;
     return false;
-  }
-  void splitHints(SplitHints &Hints) const override {
-    for (const Box &T : Boxes)
-      collectBoxSplitHints(T, Hints);
   }
   std::string str() const override {
     std::string Out = "in union{";
@@ -186,7 +201,23 @@ public:
   }
 
 private:
+  /// B ⊆ ∪Boxes. On disjoint boxes the pieces B ∩ Tᵢ partition
+  /// B ∩ ∪Boxes, so B is covered exactly when Σ|B ∩ Tᵢ| = |B|; the cell
+  /// decomposition answers the rest, and any count too large to sum.
+  bool coversJointly(const Box &B) const {
+    if (Disjoint) {
+      BigCount Covered;
+      for (const Box &T : Boxes)
+        Covered = Covered + overlapVolume(B, T);
+      BigCount Whole = B.volume();
+      if (!Covered.isSaturated() && !Whole.isSaturated())
+        return Covered == Whole;
+    }
+    return unionCovers(Boxes, B);
+  }
+
   std::vector<Box> Boxes;
+  bool Disjoint; ///< No two of Boxes share a point.
 };
 
 } // namespace
@@ -221,7 +252,7 @@ PredicateRef anosy::inBoxPredicate(Box B) {
 }
 
 PredicateRef anosy::inUnionPredicate(std::vector<Box> Boxes) {
-  return std::make_shared<InUnionPred>(std::move(Boxes));
+  return std::make_shared<InUnionPred>(pruneSubsumed(std::move(Boxes)));
 }
 
 PredicateRef anosy::inPowerBoxPredicate(const PowerBox &P) {

@@ -49,16 +49,22 @@ public:
   /// Concrete truth at \p P.
   virtual bool evalPoint(const Point &P) const = 0;
 
-  /// Appends the coordinates where this predicate's truth can flip (see
-  /// solver/SplitHints.h). Publishing no hints is always sound; the
-  /// deciders then fall back to midpoint bisection.
-  virtual void splitHints(SplitHints &Hints) const { (void)Hints; }
+  /// The coordinates where this predicate's truth can flip (see
+  /// solver/SplitHints.h), sorted and deduplicated per dimension. The
+  /// constructor builds them, so every decider call reads the same lists
+  /// and a predicate shared across threads is never written. No hints is
+  /// always sound; the deciders then fall back to midpoint bisection.
+  const SplitHints &hints() const { return Hints; }
 
   /// Debug rendering.
   virtual std::string str() const = 0;
 
 protected:
-  Predicate() = default;
+  /// \p Hints must be normalized (solver/SplitHints.h).
+  explicit Predicate(SplitHints Hints = {}) : Hints(std::move(Hints)) {}
+
+private:
+  const SplitHints Hints;
 };
 
 using PredicateRef = std::shared_ptr<const Predicate>;
@@ -86,7 +92,9 @@ PredicateRef orPredicate(PredicateRef A, PredicateRef B);
 PredicateRef inBoxPredicate(Box B);
 
 /// Membership in a union of boxes (still exact on boxes: True when the
-/// union covers the whole box, False when it misses it entirely).
+/// union covers the whole box, False when it misses it entirely). When
+/// the boxes are pairwise disjoint, as ITERSYNTH's lists are, coverage is
+/// decided by summing volumes instead of decomposing into cells.
 PredicateRef inUnionPredicate(std::vector<Box> Boxes);
 
 /// Membership in a PowerBox (includes minus excludes).

@@ -3,6 +3,7 @@
 #include "solver/SplitHints.h"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 
 using namespace anosy;
@@ -210,6 +211,23 @@ void anosy::normalizeSplitHints(SplitHints &Hints) {
     std::sort(Dim.begin(), Dim.end());
     Dim.erase(std::unique(Dim.begin(), Dim.end()), Dim.end());
   }
+}
+
+SplitHints anosy::mergeSplitHints(const SplitHints &A, const SplitHints &B) {
+  if (B.empty())
+    return A;
+  if (A.empty())
+    return B;
+  static const std::vector<int64_t> None;
+  SplitHints Out(std::max(A.size(), B.size()));
+  for (size_t D = 0, N = Out.size(); D != N; ++D) {
+    const auto &DA = D < A.size() ? A[D] : None;
+    const auto &DB = D < B.size() ? B[D] : None;
+    Out[D].reserve(DA.size() + DB.size());
+    std::set_union(DA.begin(), DA.end(), DB.begin(), DB.end(),
+                   std::back_inserter(Out[D]));
+  }
+  return Out;
 }
 
 std::pair<Box, Box> anosy::splitWithHints(const Box &B,

@@ -55,6 +55,10 @@ std::pair<Box, Box> splitWithHints(const Box &B, const SplitHints &Hints);
 /// Sorts and deduplicates hint lists (call once after collection).
 void normalizeSplitHints(SplitHints &Hints);
 
+/// The per-dimension union of two normalized hint sets, itself normalized:
+/// the same lists as collecting both and normalizing once.
+SplitHints mergeSplitHints(const SplitHints &A, const SplitHints &B);
+
 } // namespace anosy
 
 #endif // ANOSY_SOLVER_SPLITHINTS_H

@@ -111,6 +111,23 @@ TEST(Advertising, Fig6SurvivalTablePinned) {
   }
 }
 
+// The Fig. 6 set-up at k = 10 (perfbench's fig6-monitor registration):
+// the default module under default, verified session options. The serial
+// engine charges the same nodes every run; a solver change that moves
+// this number changed the search, not just its speed.
+TEST(Advertising, SetupAtK10ChargesPinnedNodes) {
+  AdvertisingConfig Config;
+  Config.PowersetSize = 10;
+  SessionOptions O;
+  O.PowersetSize = Config.PowersetSize;
+  auto S = AnosySession<PowerBox>::create(
+      buildAdvertisingModule(Config),
+      minSizePolicy<PowerBox>(Config.PolicyMinSize), O);
+  ASSERT_TRUE(S.ok()) << S.error().str();
+  EXPECT_FALSE(S->degradation().degraded());
+  EXPECT_EQ(S->stats().SolverNodes, 535'476u);
+}
+
 TEST(Advertising, DeterministicAcrossRuns) {
   AdvertisingConfig Config;
   Config.NumRestaurants = 6;

@@ -5,6 +5,7 @@
 #include "benchlib/Problems.h"
 #include "expr/Parser.h"
 
+#include <chrono>
 #include <gtest/gtest.h>
 
 using namespace anosy;
@@ -169,5 +170,64 @@ TEST(AnosySession, DefaultOptionsPinPaperSuiteNodeCounts) {
     SCOPED_TRACE("pass " + std::to_string(Pass));
     EXPECT_EQ(paperSuiteSessionNodes<Box>(), 7'342u);
     EXPECT_EQ(paperSuiteSessionNodes<PowerBox>(), 16'217u);
+  }
+}
+
+// A field wider than 2^62. The box grower's doubling probe wrapped past
+// INT64_MAX and stuck at 0, then re-probed empty slabs, which charge no
+// solver node, so neither the node budget nor the deadline ever fired and
+// registration never returned. Both domains must now register, well
+// inside the deadline, with verified artifacts.
+TEST(AnosySession, WideFieldRegistersWithinDeadline) {
+  auto M = parseModule(R"(
+    secret S { x: int[0, 9223372036854775806], y: int[0, 10] }
+    query q = x >= 100 && y <= 3
+  )");
+  ASSERT_TRUE(M.ok()) << M.error().str();
+  SessionOptions O;
+  O.DeadlineMs = 100;
+  auto Start = std::chrono::steady_clock::now();
+  auto I = AnosySession<Box>::create(*M, permissivePolicy<Box>(), O);
+  auto P = AnosySession<PowerBox>::create(*M, permissivePolicy<PowerBox>(), O);
+  EXPECT_LT(std::chrono::steady_clock::now() - Start, std::chrono::seconds(5));
+  ASSERT_TRUE(I.ok()) << I.error().str();
+  ASSERT_TRUE(P.ok()) << P.error().str();
+  // Each pass takes a few milliseconds; only a stalled host could make the
+  // deadline degrade a query, which stays sound either way.
+  if (!I->degradation().degraded()) {
+    EXPECT_TRUE(I->artifacts("q")->Certificates.valid());
+    EXPECT_EQ(I->artifacts("q")->Ind.TrueSet,
+              Box({{100, 9223372036854775806}, {0, 3}}));
+  }
+  if (!P->degradation().degraded()) {
+    EXPECT_TRUE(P->artifacts("q")->Certificates.valid());
+  }
+}
+
+// Schemas whose fields reach both int64 extremes register in both domains
+// without deadline or node cap; the asan-ubsan CI job runs this for
+// overflow in the grower, the bounding-box search and the cell
+// decomposition.
+TEST(AnosySession, FullRangeFieldsRegister) {
+  for (const char *Src : {
+           R"(secret S { x: int[-9223372036854775807, 9223372036854775807],
+                         y: int[0, 10] }
+              query q = x >= 100 && y <= 3
+              query r = x <= -5 || y == 7)",
+           R"(secret S { x: int[0, 9223372036854775807],
+                         y: int[-9223372036854775807, 0] }
+              query q = x >= 100 && y <= -3)"}) {
+    auto M = parseModule(Src);
+    ASSERT_TRUE(M.ok()) << M.error().str();
+    auto I = AnosySession<Box>::create(*M, permissivePolicy<Box>());
+    ASSERT_TRUE(I.ok()) << I.error().str();
+    EXPECT_FALSE(I->degradation().degraded());
+    auto P = AnosySession<PowerBox>::create(*M, permissivePolicy<PowerBox>());
+    ASSERT_TRUE(P.ok()) << P.error().str();
+    EXPECT_FALSE(P->degradation().degraded());
+    for (const QueryDef &Q : M->queries()) {
+      EXPECT_TRUE(I->artifacts(Q.Name)->Certificates.valid()) << Q.Name;
+      EXPECT_TRUE(P->artifacts(Q.Name)->Certificates.valid()) << Q.Name;
+    }
   }
 }

@@ -135,3 +135,29 @@ TEST(BoxAlgebra, ForEachCellEarlyStop) {
   });
   EXPECT_EQ(Cells, 1);
 }
+
+// A box whose Hi is INT64_MAX has its one-past-end at 2^63. Cuts used to be
+// int64 and wrapped there to INT64_MIN, dropping every slab of the box:
+// [0, 100] "covered" [0, INT64_MAX], and a union holding [0, INT64_MAX]
+// counted only its other box.
+TEST(BoxAlgebra, CutsAtInt64MaxDoNotWrap) {
+  const Box Small({{0, 100}});
+  const Box ToMax({{0, INT64_MAX}});
+  EXPECT_FALSE(unionCovers({Small}, ToMax));
+  EXPECT_TRUE(unionCovers({ToMax}, Small));
+  EXPECT_EQ(unionVolume({ToMax, Box({{5, 10}})}, 1).str(),
+            "9223372036854775808"); // 2^63
+  const Box Full({{INT64_MIN, INT64_MAX}});
+  EXPECT_EQ(unionVolume({Full, Small}, 1).str(), "18446744073709551616");
+  EXPECT_EQ(differenceVolume({Full}, {Small}, 1).str(),
+            "18446744073709551515"); // 2^64 - 101
+  EXPECT_TRUE(
+      unionCovers({Box({{INT64_MIN, -1}}), Box({{0, INT64_MAX}})}, Full));
+}
+
+TEST(BoxAlgebra, PairwiseDisjoint) {
+  EXPECT_TRUE(pairwiseDisjoint({}));
+  EXPECT_TRUE(pairwiseDisjoint({box(0, 4, 0, 4), box(5, 9, 0, 4)}));
+  EXPECT_FALSE(pairwiseDisjoint(
+      {box(0, 4, 0, 4), box(5, 9, 0, 4), box(4, 5, 4, 4)}));
+}

@@ -11,6 +11,7 @@
 
 #include "expr/Parser.h"
 #include "solver/Decide.h"
+#include "solver/Optimize.h"
 #include "solver/SplitHints.h"
 
 #include <gtest/gtest.h>
@@ -74,4 +75,43 @@ TEST(FullRangeDomain, DecideOverFullRange) {
   ExistsResult W = findWitness(*q(S, "v >= 17 && v <= 17"), Box::top(S), Budget);
   ASSERT_TRUE(W.Witness.has_value());
   EXPECT_EQ(*W.Witness, (Point{17}));
+}
+
+// The box grower on fields wider than 2^62. Its room past a face, its
+// doubling probe, its per-round width cap and its Pareto widths each
+// overflowed int64 there; a probe wrapped to 0 then re-probed empty
+// slabs, which charge no node, forever. Every objective must reach the
+// maximal box, and the bounding-box search its exact bounds.
+TEST(FullRangeDomain, GrowAndBoundOverWideFields) {
+  const Schema Schemas[] = {
+      Schema("Near", {{"v", INT64_MIN + 1, INT64_MAX}, {"w", 0, 10}}),
+      Schema("Full", {{"v", INT64_MIN, INT64_MAX}, {"w", 0, 10}}),
+      Schema("Wide", {{"v", 0, INT64_MAX - 1}, {"w", 0, 10}}),
+  };
+  for (const Schema &S : Schemas) {
+    SCOPED_TRACE(S.name());
+    const int64_t Lo = S.fields()[0].Lo;
+    PredicateRef Valid = q(S, "v >= 100 && w <= 3");
+    for (GrowObjective Obj : {GrowObjective::Volume, GrowObjective::Balanced,
+                              GrowObjective::ParetoWidth}) {
+      SCOPED_TRACE(growObjectiveName(Obj));
+      GrowerConfig Config;
+      Config.Objective = Obj;
+      Config.Restarts = 2;
+      SolverBudget Budget;
+      GrowResult R =
+          growMaximalBox(*Valid, *Valid, Box::top(S), Config, Budget);
+      ASSERT_FALSE(R.Exhausted);
+      ASSERT_TRUE(R.Best.has_value());
+      EXPECT_EQ(*R.Best, Box({{100, S.fields()[0].Hi}, {0, 3}}));
+    }
+    PredicateRef Band = q(S, "v <= -7 || (v >= 40 && w == 2)");
+    SolverBudget Budget;
+    BoundResult B = tightBoundingBox(*Band, Box::top(S), Budget);
+    ASSERT_FALSE(B.Exhausted);
+    if (Lo <= -7)
+      EXPECT_EQ(B.Bounding, Box({{Lo, S.fields()[0].Hi}, {0, 10}}));
+    else
+      EXPECT_EQ(B.Bounding, Box({{40, S.fields()[0].Hi}, {2, 2}}));
+  }
 }

@@ -2,7 +2,9 @@
 
 #include "solver/SplitHints.h"
 
+#include "domains/BoxAlgebra.h"
 #include "expr/Parser.h"
+#include "gen/QueryGen.h"
 #include "solver/Decide.h"
 #include "solver/ModelCounter.h"
 
@@ -19,6 +21,74 @@ ExprRef q(const std::string &Src) {
   auto R = parseQueryExpr(twoField(), Src);
   EXPECT_TRUE(R.ok()) << (R.ok() ? "" : R.error().str());
   return R.value();
+}
+
+/// A random predicate and the raw hints that collecting over its whole
+/// tree gathers: each leaf appends its own (a union appends the faces of
+/// its pruned boxes), and each combinator appends its children's.
+struct RandomPred {
+  PredicateRef P;
+  SplitHints Raw;
+};
+
+void append(SplitHints &To, const SplitHints &From) {
+  if (To.size() < From.size())
+    To.resize(From.size());
+  for (size_t D = 0; D != From.size(); ++D)
+    To[D].insert(To[D].end(), From[D].begin(), From[D].end());
+}
+
+/// A box over \p Arity fields in [-50, 50]; about one in eight is empty.
+Box randomBox(Rng &R, unsigned Arity) {
+  std::vector<Interval> D;
+  for (unsigned I = 0; I != Arity; ++I) {
+    int64_t Lo = R.range(-50, 50);
+    D.push_back({Lo, Lo + R.range(R.range(0, 7) == 0 ? -3 : 0, 30)});
+  }
+  return Box(std::move(D));
+}
+
+RandomPred randomPred(Rng &R, QueryGen &G, unsigned Arity, unsigned Depth) {
+  RandomPred Out;
+  switch (R.range(0, Depth == 0 ? 2 : 5)) {
+  case 0: {
+    ExprRef E = G.genQuery();
+    collectExprSplitHints(*E, Out.Raw);
+    Out.P = exprPredicate(E);
+    break;
+  }
+  case 1: {
+    Box B = randomBox(R, Arity);
+    collectBoxSplitHints(B, Out.Raw);
+    Out.P = inBoxPredicate(B);
+    break;
+  }
+  case 2: {
+    std::vector<Box> Boxes;
+    for (int64_t I = 0, N = R.range(0, 5); I != N; ++I)
+      Boxes.push_back(randomBox(R, Arity));
+    for (const Box &B : pruneSubsumed(Boxes))
+      collectBoxSplitHints(B, Out.Raw);
+    Out.P = inUnionPredicate(Boxes);
+    break;
+  }
+  case 3: {
+    RandomPred A = randomPred(R, G, Arity, Depth - 1);
+    Out.Raw = A.Raw;
+    Out.P = notPredicate(A.P);
+    break;
+  }
+  default: {
+    RandomPred A = randomPred(R, G, Arity, Depth - 1);
+    RandomPred B = randomPred(R, G, Arity, Depth - 1);
+    Out.Raw = A.Raw;
+    append(Out.Raw, B.Raw);
+    Out.P = R.range(0, 1) == 0 ? andPredicate(A.P, B.P)
+                               : orPredicate(A.P, B.P);
+    break;
+  }
+  }
+  return Out;
 }
 
 bool hasHint(const SplitHints &H, size_t Dim, int64_t V) {
@@ -109,4 +179,30 @@ TEST(SplitHints, NormalizeSortsAndDedups) {
   SplitHints H{{5, 3, 5, 1}};
   normalizeSplitHints(H);
   EXPECT_EQ(H[0], (std::vector<int64_t>{1, 3, 5}));
+}
+
+TEST(SplitHints, MergeIsNormalizedUnion) {
+  SplitHints A{{1, 5, 9}, {}, {2}};
+  SplitHints B{{0, 5, 10}, {7}};
+  EXPECT_EQ(mergeSplitHints(A, B),
+            (SplitHints{{0, 1, 5, 9, 10}, {7}, {2}}));
+  EXPECT_EQ(mergeSplitHints(A, {}), A);
+  EXPECT_EQ(mergeSplitHints({}, B), B);
+}
+
+// Every predicate builds its hints once, at construction, by merging its
+// children's sorted lists. They must equal what collecting every leaf's
+// hints into one list and normalizing it once produces, which is what the
+// deciders used to rebuild on every call.
+TEST(SplitHints, ConstructionHintsMatchCollectThenNormalize) {
+  Rng R(4049);
+  for (int Case = 0; Case != 600; ++Case) {
+    QueryGenConfig Config;
+    Config.Arity = 1 + Case % 3;
+    Config.MaxDepth = 3;
+    QueryGen G(static_cast<uint64_t>(Case) * 7 + 1, Config);
+    RandomPred T = randomPred(R, G, Config.Arity, 4);
+    normalizeSplitHints(T.Raw);
+    ASSERT_EQ(T.P->hints(), T.Raw) << "case " << Case << ": " << T.P->str();
+  }
 }

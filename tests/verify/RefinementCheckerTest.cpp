@@ -178,3 +178,32 @@ TEST(RefinementChecker, CertificateRendering) {
   C.CounterExample.reset();
   EXPECT_NE(C.str().find("[ok]"), std::string::npos);
 }
+
+// A field reaching INT64_MAX: dT = [0, MAX] x [0, 10] minus [0, 100] x
+// [0, 10] holds (200, 5), which falsifies the query. The cell
+// decomposition once wrapped at MAX + 1, found the exclude covering the
+// whole include, and certified this artifact. The second artifact's
+// excludes overlap, so its membership test takes the cell decomposition
+// and not the disjoint volume sum.
+TEST(RefinementChecker, RefutesArtifactReachingInt64Max) {
+  Schema S("Wide", {{"x", 0, INT64_MAX}, {"y", 0, 10}});
+  auto Q = parseQueryExpr(S, "x >= 100 && y <= 3");
+  ASSERT_TRUE(Q.ok());
+  RefinementChecker C(S, Q.value());
+  const Box Include({{0, INT64_MAX}, {0, 10}});
+  for (std::vector<Box> Excludes :
+       {std::vector<Box>{Box({{0, 100}, {0, 10}})},
+        std::vector<Box>{Box({{0, 100}, {0, 10}}),
+                         Box({{50, 150}, {0, 10}})}}) {
+    SCOPED_TRACE(Excludes.size());
+    IndSets<PowerBox> Sets{PowerBox(2, {Include}, Excludes), PowerBox(2)};
+    ASSERT_EQ(Sets.TrueSet.includes().size(), 1u);
+    EXPECT_TRUE(Sets.TrueSet.member({200, 5}));
+    CertificateBundle B = C.checkIndSets(Sets, ApproxKind::Under);
+    const Certificate *Fail = B.firstRefuted();
+    ASSERT_NE(Fail, nullptr) << B.str();
+    ASSERT_TRUE(Fail->CounterExample.has_value());
+    EXPECT_TRUE(Sets.TrueSet.member(*Fail->CounterExample));
+    EXPECT_FALSE(evalBool(*Q.value(), *Fail->CounterExample));
+  }
+}
