@@ -18,10 +18,8 @@
 ///
 /// Prints the scorecard and a verdict to stdout, and exits 1 on an oracle
 /// mismatch, an unsound lint verdict, or a location-family reject-recall
-/// of 0 with the analyzer's octagon tier enabled. Flags: --seed N,
-/// --per-family K, --traces N, --steps N, --relational off|auto|on.
-/// ctest runs `--seed 7 --per-family 2` with the default tier and with
-/// `--relational on`.
+/// of 0. Flags: --seed N, --per-family K, --traces N, --steps N. ctest
+/// runs `--seed 7 --per-family 2`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,7 +54,6 @@ struct FamilyRow {
 int main(int Argc, char **Argv) {
   CorpusOptions Opt;
   Opt.ModulesPerFamily = 2;
-  RelationalTier Relational = RelationalTier::Auto;
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     auto Next = [&]() -> const char * {
@@ -83,15 +80,9 @@ int main(int Argc, char **Argv) {
       if (!N)
         badFlagValue("--steps", V);
       Opt.StepsPerTrace = *N;
-    } else if (Arg == "--relational" && (V = Next())) {
-      auto T = parseRelationalTier(V);
-      if (!T)
-        badFlagValue("--relational", V);
-      Relational = *T;
     } else {
-      std::fprintf(stderr,
-                   "usage: corpus_suite [--seed N] [--per-family K] "
-                   "[--traces N] [--steps N] [--relational off|auto|on]\n");
+      std::fprintf(stderr, "usage: corpus_suite [--seed N] [--per-family K] "
+                           "[--traces N] [--steps N]\n");
       return 2;
     }
   }
@@ -112,7 +103,7 @@ int main(int Argc, char **Argv) {
     ++Row.Modules;
     Row.Traces += static_cast<unsigned>(E.Traces.size());
     GroundTruth GT = computeGroundTruth(E.Parsed);
-    LintScore S = scoreLint(E.Parsed, E.Mod.PolicyMinSize, GT, Relational);
+    LintScore S = scoreLint(E.Parsed, E.Mod.PolicyMinSize, GT);
     Row.Lint.merge(S);
     Total.merge(S);
   }
@@ -145,28 +136,21 @@ int main(int Argc, char **Argv) {
               Sessions, SoakSeconds,
               SoakSeconds > 0 ? Sessions / SoakSeconds : 0.0, Mismatches);
 
-  // The recall gate: with the octagon tier enabled, the location family
-  // (Manhattan-ball queries, the paper's §6.2 workload) must reject
-  // statically at nonzero recall. A regression back to 0 means the
-  // relational tier silently stopped firing.
+  // The recall gate: the location family (Manhattan-ball queries, the
+  // paper's §6.2 workload) must reject statically at nonzero recall. A
+  // regression back to 0 means the octagon tier silently stopped firing.
   bool RecallGate = true;
-  if (Relational != RelationalTier::Off) {
-    const FamilyRow &Loc =
-        Rows[static_cast<unsigned>(ScenarioFamily::Location)];
-    if (Loc.Lint.RejectTP + Loc.Lint.RejectFN != 0 &&
-        Loc.Lint.RejectTP == 0) {
-      std::fprintf(stderr,
-                   "FAIL: location reject-recall is 0 with the relational "
-                   "tier enabled (%u forced rejections missed)\n",
-                   Loc.Lint.RejectFN);
-      RecallGate = false;
-    }
+  const FamilyRow &Loc = Rows[static_cast<unsigned>(ScenarioFamily::Location)];
+  if (Loc.Lint.RejectTP + Loc.Lint.RejectFN != 0 && Loc.Lint.RejectTP == 0) {
+    std::fprintf(stderr,
+                 "FAIL: location reject-recall is 0 (%u forced rejections "
+                 "missed)\n",
+                 Loc.Lint.RejectFN);
+    RecallGate = false;
   }
   bool Pass = Mismatches == 0 && Total.sound() && RecallGate;
-  std::printf("seed %llu, relational tier %s: lint %s, location recall "
-              "gate %s -> %s\n",
+  std::printf("seed %llu: lint %s, location recall gate %s -> %s\n",
               static_cast<unsigned long long>(Opt.Seed),
-              relationalTierName(Relational),
               Total.sound() ? "sound" : "UNSOUND", RecallGate ? "ok" : "FAIL",
               Pass ? "pass" : "FAIL");
   return Pass ? 0 : 1;

@@ -11,7 +11,6 @@
 //             [--min-size N] [--static-admission]
 //             [--trace-out FILE] [--metrics-out FILE] [--probe-monitor]
 //   anosy_cli lint [files.anosy...] [--json] [--min-size N]
-//             [--relational off|auto|on]
 //
 // For each query in the module it prints the refinement-type spec, the
 // sketch, the synthesized (hole-filled) program, the verification
@@ -133,9 +132,7 @@ int usage(const char *Argv0) {
       "          [--metrics-out FILE] (Prometheus text exposition)\n"
       "          [--probe-monitor]    (one downgrade per query at the\n"
       "                              schema-center secret)\n"
-      "   or: %s lint [files.anosy...] [--json] [--min-size N]\n"
-      "          [--relational off|auto|on] (octagon escalation tier;\n"
-      "                          default auto)\n",
+      "   or: %s lint [files.anosy...] [--json] [--min-size N]\n",
       Argv0, Argv0);
   return 2;
 }
@@ -185,16 +182,6 @@ int runLint(int Argc, char **Argv) {
   std::vector<std::string> Files;
   bool Json = false;
   int64_t MinSize = -1;
-  RelationalTier Relational = RelationalTier::Auto;
-  auto ParseRelational = [&](const char *V) -> bool {
-    auto T = parseRelationalTier(V);
-    if (!T) {
-      std::fprintf(stderr, "bad --relational value '%s' (off|auto|on)\n", V);
-      return false;
-    }
-    Relational = *T;
-    return true;
-  };
   for (int I = 2; I < Argc; ++I) {
     std::string Arg = Argv[I];
     auto Next = [&]() -> const char * {
@@ -207,13 +194,6 @@ int runLint(int Argc, char **Argv) {
       if (!V)
         return usage(Argv[0]);
       MinSize = parseInt64Flag("--min-size", V);
-    } else if (Arg == "--relational") {
-      const char *V = Next();
-      if (!V || !ParseRelational(V))
-        return usage(Argv[0]);
-    } else if (Arg.rfind("--relational=", 0) == 0) {
-      if (!ParseRelational(Arg.c_str() + 13))
-        return usage(Argv[0]);
     } else if (Arg == "--help" || Arg == "-h") {
       return usage(Argv[0]);
     } else if (!Arg.empty() && Arg[0] == '-') {
@@ -235,10 +215,8 @@ int runLint(int Argc, char **Argv) {
     }
     LintOptions Base;
     Base.MinSize = MinSize;
-    Base.Relational = Relational;
-    // `# anosy-lint: min-size=N` / `relational=...` pragmas in the
-    // module win over the command line: the module author knows the
-    // deployment policy.
+    // A `# anosy-lint: min-size=N` pragma in the module wins over the
+    // command line: the module author knows the deployment policy.
     LintOptions LOpt = lintOptionsForSource(Source, Base);
     Mods.push_back({Name, LOpt, analyzeModule(*M, LOpt)});
     return true;

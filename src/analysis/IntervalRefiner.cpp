@@ -11,6 +11,14 @@
 using namespace anosy;
 using namespace anosy::iarith;
 
+namespace {
+
+/// Bound on the outer narrowing fixpoint and on each conjunction's local
+/// fixpoint.
+constexpr unsigned MaxRounds = 6;
+
+} // namespace
+
 Box IntervalRefiner::refine(const Expr &E, const Box &Prior) const {
   Box Cur = Prior;
   for (unsigned Round = 0; Round != MaxRounds; ++Round) {
@@ -242,14 +250,15 @@ Box IntervalRefiner::narrowInt(const Expr &E, Interval Target, Box B) const {
   ANOSY_UNREACHABLE("narrowInt on boolean-sorted expression");
 }
 
-BranchPosteriors anosy::branchPosteriors(const ExprRef &Query,
-                                         const Box &Prior,
-                                         unsigned MaxRounds) {
+NormalizedQuery anosy::normalizeQuery(const ExprRef &Query) {
   assert(Query && Query->isBoolSorted() &&
-         "branchPosteriors needs a boolean query");
-  IntervalRefiner Refiner(MaxRounds);
+         "normalizeQuery needs a boolean query");
   ExprRef Simplified = simplify(Query);
-  ExprRef NNFTrue = toNNF(Simplified);
-  ExprRef NNFFalse = toNNF(notOf(Simplified));
-  return {Refiner.refine(*NNFTrue, Prior), Refiner.refine(*NNFFalse, Prior)};
+  return {toNNF(Simplified), toNNF(notOf(Simplified))};
+}
+
+BranchPosteriors anosy::branchPosteriors(const NormalizedQuery &Q,
+                                         const Box &Prior) {
+  IntervalRefiner Refiner;
+  return {Refiner.refine(*Q.True, Prior), Refiner.refine(*Q.False, Prior)};
 }

@@ -45,10 +45,6 @@ namespace anosy {
 /// Sound branch-posterior refinement over NNF query expressions.
 class IntervalRefiner {
 public:
-  /// \p MaxRounds bounds the outer narrowing fixpoint (and each
-  /// conjunction's local fixpoint); more rounds only ever tighten.
-  explicit IntervalRefiner(unsigned MaxRounds = 6) : MaxRounds(MaxRounds) {}
-
   /// Over-approximation of {x ∈ Prior | ⟦E⟧(x) = true} for the NNF
   /// boolean-sorted \p E. Empty result proves the branch unsatisfiable
   /// over the prior.
@@ -58,9 +54,18 @@ private:
   Box refineOnce(const Expr &E, Box B) const;
   Box narrowCmp(CmpOp Op, const Expr &A, const Expr &C, Box B) const;
   Box narrowInt(const Expr &E, Interval Target, Box B) const;
-
-  unsigned MaxRounds;
 };
+
+/// One query body in the form every analysis pass reads: simplified once,
+/// then put in NNF once per answer branch.
+struct NormalizedQuery {
+  ExprRef True;  ///< NNF of the simplified body.
+  ExprRef False; ///< NNF of the simplified body's negation.
+};
+
+/// Normalizes \p Query, any boolean-sorted expression of the §5.1
+/// fragment.
+NormalizedQuery normalizeQuery(const ExprRef &Query);
 
 /// Both branch posteriors of one query over the public prior. The boxes
 /// over-approximate {x | q(x)} ∩ Prior and {x | ¬q(x)} ∩ Prior.
@@ -69,12 +74,9 @@ struct BranchPosteriors {
   Box FalsePosterior;
 };
 
-/// Normalizes \p Query (simplify, then NNF — separately for the query and
-/// its negation) and refines both answer branches over \p Prior. This is
-/// the entry point the leakage analyzer and the solver-seeding path use;
-/// \p Query may be any boolean-sorted expression of the §5.1 fragment.
-BranchPosteriors branchPosteriors(const ExprRef &Query, const Box &Prior,
-                                  unsigned MaxRounds = 6);
+/// Refines both answer branches of \p Q over \p Prior: the box tier of
+/// the leakage analyzer and the step of its sequence pass.
+BranchPosteriors branchPosteriors(const NormalizedQuery &Q, const Box &Prior);
 
 } // namespace anosy
 

@@ -2,8 +2,8 @@
 
 #include "analysis/LeakageAnalyzer.h"
 
-#include "expr/Simplify.h"
 #include "obs/Instrument.h"
+#include "support/ParseNum.h"
 
 using namespace anosy;
 
@@ -21,28 +21,6 @@ const char *anosy::lintVerdictName(LintVerdict V) {
     return "session-budget-risk";
   }
   return "unknown";
-}
-
-const char *anosy::relationalTierName(RelationalTier T) {
-  switch (T) {
-  case RelationalTier::Off:
-    return "off";
-  case RelationalTier::Auto:
-    return "auto";
-  case RelationalTier::On:
-    return "on";
-  }
-  return "unknown";
-}
-
-std::optional<RelationalTier> anosy::parseRelationalTier(std::string_view S) {
-  if (S == "off")
-    return RelationalTier::Off;
-  if (S == "auto")
-    return RelationalTier::Auto;
-  if (S == "on")
-    return RelationalTier::On;
-  return std::nullopt;
 }
 
 const char *anosy::domainTierName(DomainTier T) {
@@ -102,40 +80,36 @@ unsigned ModuleAnalysis::count(LintSeverity S) const {
   return N;
 }
 
-QueryAnalysis anosy::analyzeQueryBranches(const Schema &S,
-                                          const std::string &Name,
-                                          const ExprRef &Body,
-                                          const LintOptions &Options) {
+namespace {
+
+/// One query's two tiers over the schema prior ⊤, read off its
+/// normalized forms \p N.
+QueryAnalysis analyzeBranches(const Schema &S, const std::string &Name,
+                              const NormalizedQuery &N, int64_t MinSize) {
   QueryAnalysis QA;
   QA.Name = Name;
   // Features on the NNF form: ⇒ and ¬ are connective sugar the abstract
   // pass never sees, so admission verdicts must not depend on them either.
-  QA.Features = analyzeQuery(*toNNF(simplify(Body)));
+  QA.Features = analyzeQuery(*N.True);
 
   // Tier 1 (always): the interval refiner, the cheap path every query
   // takes. Its verdicts stand on their own — escalation never reopens a
   // concluded query, it only sharpens inconclusive ones.
-  Box Prior = Box::top(S);
-  BranchPosteriors P = branchPosteriors(Body, Prior, Options.NarrowRounds);
+  BranchPosteriors P = branchPosteriors(N, Box::top(S));
   QA.TruePosterior = P.TruePosterior;
   QA.FalsePosterior = P.FalsePosterior;
   QA.TrueCardBound = P.TruePosterior.volume();
   QA.FalseCardBound = P.FalsePosterior.volume();
 
   bool Concluded = QA.TruePosterior.isEmpty() || QA.FalsePosterior.isEmpty();
-  if (!Concluded && Options.MinSize >= 0)
-    Concluded = QA.TrueCardBound <= Options.MinSize ||
-                QA.FalseCardBound <= Options.MinSize;
+  if (!Concluded && MinSize >= 0)
+    Concluded = QA.TrueCardBound <= MinSize || QA.FalseCardBound <= MinSize;
 
-  // Tier 2 (escalation): the octagon reduced product. Auto restricts it
-  // to queries with an atom coupling ≥ 2 fields — the only shape where a
-  // relational domain can beat the box (so Auto ≡ On on verdicts).
-  bool Escalate = !Concluded && Options.Relational != RelationalTier::Off &&
-                  (Options.Relational == RelationalTier::On ||
-                   QA.Features.Relational);
-  if (Escalate) {
-    RelationalPosteriors RP =
-        relationalBranchPosteriors(Body, Prior, Options.NarrowRounds);
+  // Tier 2 (escalation): the octagon reduced product, on queries with an
+  // atom coupling ≥ 2 fields — the only shape where a relational domain
+  // can beat the box. It starts from tier 1's posteriors.
+  if (!Concluded && QA.Features.Relational) {
+    RelationalPosteriors RP = relationalBranchPosteriors(N, P);
     QA.Tier = DomainTier::Octagon;
     QA.TruePosterior = RP.True.BoxPosterior;
     QA.FalsePosterior = RP.False.BoxPosterior;
@@ -153,8 +127,8 @@ QueryAnalysis anosy::analyzeQueryBranches(const Schema &S,
     QA.ConstantValue = QA.FalsePosterior.isEmpty();
     return QA;
   }
-  if (Options.MinSize >= 0 && (QA.TrueCardBound <= Options.MinSize ||
-                               QA.FalseCardBound <= Options.MinSize)) {
+  if (MinSize >= 0 &&
+      (QA.TrueCardBound <= MinSize || QA.FalseCardBound <= MinSize)) {
     // Branch cardinality bound already at/below k: by sizeLaw the exact
     // branch, and any sound under-approximation, is no larger, so the
     // `size > k` check fails on that branch for every secret — and the
@@ -170,8 +144,6 @@ QueryAnalysis anosy::analyzeQueryBranches(const Schema &S,
     QA.Verdict = LintVerdict::RelationalHotspot;
   return QA;
 }
-
-namespace {
 
 /// The per-query diagnostics for one analyzed query (no diagnostic for
 /// Clean verdicts).
@@ -243,22 +215,22 @@ void appendQueryDiagnostics(const QueryAnalysis &QA, const LintOptions &Opt,
 /// knowledge box. If the chain pins the secret to ≤ k candidates, a real
 /// answer path exists along which Fig. 2's monitor must start refusing —
 /// worth a warning at module-review time.
-void sequencePass(const Module &M, const ModuleAnalysis &MA,
+void sequencePass(const Schema &S, const ModuleAnalysis &MA,
+                  const std::vector<NormalizedQuery> &Forms,
                   const LintOptions &Opt,
                   std::vector<LintDiagnostic> &Out) {
   if (Opt.MinSize < 0)
     return;
-  Box Knowledge = Box::top(M.schema());
+  Box Knowledge = Box::top(S);
   std::string Path;
-  for (const QueryDef &Q : M.queries()) {
-    const QueryAnalysis *QA = MA.find(Q.Name);
+  for (size_t I = 0; I != Forms.size(); ++I) {
+    const QueryAnalysis &QA = MA.Queries[I];
     // Statically-rejected and constant queries never update knowledge
     // under a min-size policy: the monitor refuses them (one posterior
     // is below k or empty), so the attacker learns nothing.
-    if (QA != nullptr && (QA->RejectStatically || QA->SkipSynthesis))
+    if (QA.RejectStatically || QA.SkipSynthesis)
       continue;
-    BranchPosteriors P =
-        branchPosteriors(Q.Body, Knowledge, Opt.NarrowRounds);
+    BranchPosteriors P = branchPosteriors(Forms[I], Knowledge);
     Box Next;
     bool Answer;
     if (P.TruePosterior.isEmpty()) {
@@ -275,13 +247,13 @@ void sequencePass(const Module &M, const ModuleAnalysis &MA,
       break; // Chain bottomed out (knowledge box already infeasible).
     if (!Path.empty())
       Path += ",";
-    Path += Q.Name + "=" + (Answer ? "True" : "False");
+    Path += QA.Name + "=" + (Answer ? "True" : "False");
     Knowledge = Next;
     if (Knowledge.volume() <= Opt.MinSize) {
       LintDiagnostic D;
       D.Severity = LintSeverity::Warning;
       D.Verdict = LintVerdict::SessionBudgetRisk;
-      D.Query = Q.Name;
+      D.Query = QA.Name;
       D.Message = "the answer path [" + Path +
                   "] pins the secret to at most " +
                   Knowledge.volume().str() +
@@ -304,17 +276,19 @@ ModuleAnalysis anosy::analyzeModule(const Module &M,
                                     const LintOptions &Options) {
   ANOSY_OBS_SPAN(Span, "anosy.lint.module");
   ModuleAnalysis MA;
+  std::vector<NormalizedQuery> Forms;
+  Forms.reserve(M.queries().size());
   size_t Rejected = 0;
   for (const QueryDef &Q : M.queries()) {
+    Forms.push_back(normalizeQuery(Q.Body));
     QueryAnalysis QA =
-        analyzeQueryBranches(M.schema(), Q.Name, Q.Body, Options);
+        analyzeBranches(M.schema(), Q.Name, Forms.back(), Options.MinSize);
     appendQueryDiagnostics(QA, Options, MA.Diagnostics);
     if (QA.RejectStatically)
       ++Rejected;
     MA.Queries.push_back(std::move(QA));
   }
-  if (Options.SequencePass)
-    sequencePass(M, MA, Options, MA.Diagnostics);
+  sequencePass(M.schema(), MA, Forms, Options, MA.Diagnostics);
   ANOSY_OBS_SPAN_ARG(Span, "queries", MA.Queries.size());
   ANOSY_OBS_SPAN_ARG(Span, "diagnostics", MA.Diagnostics.size());
   ANOSY_OBS_SPAN_ARG(Span, "static_rejections", Rejected);
@@ -339,25 +313,12 @@ LintOptions anosy::lintOptionsForSource(std::string_view Source,
     size_t Key = 0;
     while ((Key = Line.find("min-size=", Key)) != std::string_view::npos) {
       Key += 9;
-      int64_t V = 0;
-      bool Any = false;
-      while (Key < Line.size() && Line[Key] >= '0' && Line[Key] <= '9') {
-        V = V * 10 + (Line[Key] - '0');
-        ++Key;
-        Any = true;
-      }
-      if (Any)
-        Base.MinSize = V;
-    }
-    Key = 0;
-    while ((Key = Line.find("relational=", Key)) != std::string_view::npos) {
-      Key += 11;
       size_t Len = 0;
-      while (Key + Len < Line.size() && Line[Key + Len] >= 'a' &&
-             Line[Key + Len] <= 'z')
+      while (Key + Len < Line.size() && Line[Key + Len] >= '0' &&
+             Line[Key + Len] <= '9')
         ++Len;
-      if (auto T = parseRelationalTier(Line.substr(Key, Len)))
-        Base.Relational = *T;
+      if (auto V = parseInt64(Line.substr(Key, Len)))
+        Base.MinSize = *V;
       Key += Len;
     }
     Pos = End == std::string_view::npos ? Source.size() : End;

@@ -52,27 +52,14 @@
 
 namespace anosy {
 
-/// When the relational (octagon) escalation tier runs. The box tier is
-/// always the first pass; escalation only happens when it was
-/// inconclusive (neither constant nor rejected), so `Auto` and `On`
-/// produce identical *verdicts* — `Auto` merely skips queries whose NNF
-/// has no atom coupling ≥ 2 fields, where the octagon provably cannot
-/// improve on the box.
-enum class RelationalTier {
-  Off,  ///< Box tier only (the pre-octagon behaviour).
-  Auto, ///< Escalate queries with a relational atom (default).
-  On,   ///< Escalate every box-inconclusive query.
-};
-
-const char *relationalTierName(RelationalTier T);
-
-/// Strict parser for "--relational=off|auto|on"; nullopt on anything else.
-std::optional<RelationalTier> parseRelationalTier(std::string_view S);
-
-/// Which abstract domain produced a query's verdict.
+/// Which abstract domain produced a query's verdict. The box tier runs
+/// on every query; a query it leaves inconclusive (neither constant nor
+/// rejected) escalates to the octagon tier when its NNF has an atom
+/// coupling ≥ 2 fields — on any other query every octagon constraint is
+/// unary and already inside the box tier's fixpoint.
 enum class DomainTier {
-  Box,     ///< Interval-only analysis concluded (or escalation was off).
-  Octagon, ///< The relational reduced product ran and concluded.
+  Box,     ///< The interval refiner concluded, or escalation cannot help.
+  Octagon, ///< The relational reduced product ran.
 };
 
 const char *domainTierName(DomainTier T);
@@ -105,18 +92,11 @@ struct LintDiagnostic {
   std::string str() const;
 };
 
-/// Analyzer tuning.
+/// The analyzer's one setting.
 struct LintOptions {
   /// The policy threshold k of `size dom > k` (minSizePolicy /
   /// minEntropyPolicy); -1 = no policy known, policy verdicts disabled.
   int64_t MinSize = -1;
-  /// Outer narrowing rounds of the refiner.
-  unsigned NarrowRounds = 6;
-  /// Run the sequence-level cumulative-knowledge pass.
-  bool SequencePass = true;
-  /// The relational escalation policy (DESIGN.md §7): box-only stays the
-  /// fast default path; the octagon reduced product runs on escalation.
-  RelationalTier Relational = RelationalTier::Auto;
 };
 
 /// Per-query analysis results.
@@ -158,20 +138,18 @@ struct ModuleAnalysis {
   bool hasErrors() const { return count(LintSeverity::Error) != 0; }
 };
 
-/// Analyzes one query body against the schema prior ⊤.
-QueryAnalysis analyzeQueryBranches(const Schema &S, const std::string &Name,
-                                   const ExprRef &Body,
-                                   const LintOptions &Options = {});
-
-/// Analyzes every query of \p M (classifiers are outside the boolean
-/// fragment the refiner handles and are skipped), then runs the sequence
-/// pass over the query list in declaration order.
+/// Analyzes every query of \p M against the schema prior ⊤ (classifiers
+/// are outside the boolean fragment the refiner handles and are skipped),
+/// then runs the sequence pass over the query list in declaration order.
+/// Each body is normalized once (normalizeQuery); every pass reads those
+/// forms.
 ModuleAnalysis analyzeModule(const Module &M, const LintOptions &Options = {});
 
 /// Scans DSL \p Source for lint pragmas of the form
-///   `# anosy-lint: min-size=N` / `# anosy-lint: relational=off|auto|on`
-/// and overlays them on \p Base. Unknown keys are ignored (comments stay
-/// comments); the last occurrence of a key wins.
+///   `# anosy-lint: min-size=N`
+/// and overlays them on \p Base. Unknown keys and values outside int64
+/// are ignored (comments stay comments); the last occurrence of a key
+/// wins.
 LintOptions lintOptionsForSource(std::string_view Source,
                                  LintOptions Base = {});
 

@@ -87,9 +87,6 @@ std::string anosy::renderLintJson(const std::vector<LintedModule> &Modules) {
     Out += "    {\"module\": " + obs::jsonQuote(M.Name) + ",\n";
     Out += "      \"min_size\": " + std::to_string(M.Options.MinSize) +
            ",\n";
-    Out += "      \"relational\": \"";
-    Out += relationalTierName(M.Options.Relational);
-    Out += "\",\n";
     Out += "      \"queries\": [\n";
     for (size_t Q = 0; Q != M.Analysis.Queries.size(); ++Q) {
       appendQueryJson(M.Analysis.Queries[Q], Out);

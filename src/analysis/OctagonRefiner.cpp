@@ -2,10 +2,6 @@
 
 #include "analysis/OctagonRefiner.h"
 
-#include "analysis/IntervalRefiner.h"
-#include "expr/Analysis.h"
-#include "expr/Simplify.h"
-
 #include <optional>
 #include <utility>
 #include <vector>
@@ -13,6 +9,10 @@
 using namespace anosy;
 
 namespace {
+
+/// Bound on the outer refinement fixpoint and on each conjunction's local
+/// fixpoint, as in the interval refiner.
+constexpr unsigned MaxRounds = 6;
 
 /// Magnitude guard for linearization arithmetic: coefficients beyond this
 /// make an atom non-octagonal anyway, so the refiner bails before any
@@ -364,40 +364,12 @@ Octagon OctagonRefiner::refineCmp(CmpOp Op, const Expr &A, const Expr &B,
   ANOSY_UNREACHABLE("unknown comparison operator");
 }
 
-RelationalPosteriors anosy::relationalBranchPosteriors(const ExprRef &Query,
-                                                       const Box &Prior,
-                                                       unsigned MaxRounds) {
-  assert(Query && Query->isBoolSorted() &&
-         "relationalBranchPosteriors needs a boolean query");
-  IntervalRefiner BoxRef(MaxRounds);
-  OctagonRefiner OctRef(MaxRounds);
-  ExprRef Simplified = simplify(Query);
-  ExprRef NNFTrue = toNNF(Simplified);
-  ExprRef NNFFalse = toNNF(notOf(Simplified));
-  // Negation flips comparison operators but never which fields an atom
-  // couples, so one feature pass covers both branch NNFs.
-  bool Relational = analyzeQuery(*Simplified).Relational;
-
-  auto RefineBranch = [&](const Expr &E) {
+RelationalPosteriors
+anosy::relationalBranchPosteriors(const NormalizedQuery &Q,
+                                  const BranchPosteriors &BoxTier) {
+  auto RefineBranch = [](const Expr &E, const Box &B) {
+    const OctagonRefiner OctRef;
     RelationalBranch R;
-    Box B = BoxRef.refine(E, Prior);
-    if (B.isEmpty()) {
-      R.BoxPosterior = Box::bottom(Prior.arity());
-      R.OctPosterior = Octagon::bottom(Prior.arity());
-      R.CardBound = BigCount(0);
-      return R;
-    }
-    if (!Relational) {
-      // No atom couples two fields: every octagon-derivable constraint
-      // is unary and already inside the HC4 fixpoint box, so the tier's
-      // posterior is the box itself and its count is the box volume.
-      // Skipping the refinement and the pair sweeps keeps a forced
-      // escalation on non-relational queries near the box tier's cost.
-      R.BoxPosterior = B;
-      R.OctPosterior = Octagon::fromBox(B);
-      R.CardBound = B.volume();
-      return R;
-    }
     Octagon O = OctRef.refine(E, Octagon::fromBox(B));
     if (!O.isEmpty()) {
       // Reduced product: the octagon's enclosing box re-enters the HC4
@@ -406,18 +378,18 @@ RelationalPosteriors anosy::relationalBranchPosteriors(const ExprRef &Query,
       Box B2 = O.toBox().intersect(B);
       if (B2 != B) {
         if (B2.isEmpty()) {
-          O = Octagon::bottom(Prior.arity());
+          O = Octagon::bottom(B.arity());
         } else {
-          Box B3 = BoxRef.refine(E, B2);
+          Box B3 = IntervalRefiner().refine(E, B2);
           if (B3.isEmpty())
-            O = Octagon::bottom(Prior.arity());
+            O = Octagon::bottom(B.arity());
           else
             O = OctRef.refine(E, O.meet(Octagon::fromBox(B3)));
         }
       }
     }
     if (O.isEmpty()) {
-      R.BoxPosterior = Box::bottom(Prior.arity());
+      R.BoxPosterior = Box::bottom(B.arity());
       R.OctPosterior = std::move(O);
       R.CardBound = BigCount(0);
       return R;
@@ -429,5 +401,6 @@ RelationalPosteriors anosy::relationalBranchPosteriors(const ExprRef &Query,
     R.CardBound = OctCard < BoxVol ? OctCard : BoxVol;
     return R;
   };
-  return {RefineBranch(*NNFTrue), RefineBranch(*NNFFalse)};
+  return {RefineBranch(*Q.True, BoxTier.TruePosterior),
+          RefineBranch(*Q.False, BoxTier.FalsePosterior)};
 }

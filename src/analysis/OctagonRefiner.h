@@ -28,24 +28,23 @@
 /// every x in the input octagon with ⟦E⟧(x) = true is in refine(E, ·).
 ///
 /// `relationalBranchPosteriors` is the reduced-product entry point the
-/// leakage analyzer escalates to: box ⊓ octagon, each narrowing the
-/// other, plus a per-branch integer cardinality upper bound.
+/// leakage analyzer escalates to: it starts from the box tier's branch
+/// posteriors, and box and octagon then narrow each other; it also
+/// gives a per-branch integer cardinality upper bound.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ANOSY_ANALYSIS_OCTAGONREFINER_H
 #define ANOSY_ANALYSIS_OCTAGONREFINER_H
 
+#include "analysis/IntervalRefiner.h"
 #include "domains/Octagon.h"
-#include "expr/Expr.h"
 
 namespace anosy {
 
 /// Sound branch-posterior refinement over NNF queries, octagon domain.
 class OctagonRefiner {
 public:
-  explicit OctagonRefiner(unsigned MaxRounds = 6) : MaxRounds(MaxRounds) {}
-
   /// Over-approximation of {x ∈ Prior | ⟦E⟧(x) = true} for NNF \p E.
   /// The result is closed; empty proves the branch unsatisfiable.
   Octagon refine(const Expr &E, const Octagon &Prior) const;
@@ -53,8 +52,6 @@ public:
 private:
   Octagon refineOnce(const Expr &E, Octagon O) const;
   Octagon refineCmp(CmpOp Op, const Expr &A, const Expr &B, Octagon O) const;
-
-  unsigned MaxRounds;
 };
 
 /// One branch of the reduced product box ⊓ octagon.
@@ -70,14 +67,14 @@ struct RelationalPosteriors {
   RelationalBranch False;
 };
 
-/// Escalation-tier entry point: normalizes \p Query like branchPosteriors
-/// (simplify, then NNF per branch), runs the interval refiner, seeds the
-/// octagon from its box, refines relationally, and reduces box and
-/// octagon against each other. Every secret satisfying (resp. falsifying)
-/// the query stays inside the corresponding branch's box AND octagon.
-RelationalPosteriors relationalBranchPosteriors(const ExprRef &Query,
-                                                const Box &Prior,
-                                                unsigned MaxRounds = 6);
+/// Escalation-tier entry point. \p BoxTier is branchPosteriors(Q, Prior):
+/// each branch's octagon is seeded from that box, refined relationally,
+/// and reduced against the box (each domain narrows the other). Every
+/// secret of Prior satisfying (resp. falsifying) the query stays inside
+/// the corresponding branch's box AND octagon.
+RelationalPosteriors
+relationalBranchPosteriors(const NormalizedQuery &Q,
+                           const BranchPosteriors &BoxTier);
 
 } // namespace anosy
 

@@ -12,6 +12,9 @@ using namespace anosy::iarith;
 
 namespace {
 
+/// Bound on the outer narrowing fixpoint iteration.
+constexpr unsigned MaxRounds = 4;
+
 /// HC4-style forward-backward narrowing over one query AST.
 class Narrower {
 public:
@@ -208,9 +211,9 @@ private:
     case CmpOp::NE:
       // Only narrow when one side is a fixed point at the other's border.
       if (RC.Lo == RC.Hi) {
-        if (RA.Lo == RC.Lo)
+        if (RA.Lo == RC.Lo && RA.Lo < INT64_MAX)
           return narrowInt(A, {RA.Lo + 1, RA.Hi}, std::move(B));
-        if (RA.Hi == RC.Lo)
+        if (RA.Hi == RC.Lo && RA.Hi > INT64_MIN)
           return narrowInt(A, {RA.Lo, RA.Hi - 1}, std::move(B));
       }
       return B;

@@ -33,10 +33,6 @@ namespace anosy {
 /// Abstract-interpretation posterior computation.
 class AbstractInterpreter {
 public:
-  /// \p MaxRounds bounds the outer narrowing fixpoint iteration.
-  explicit AbstractInterpreter(unsigned MaxRounds = 4)
-      : MaxRounds(MaxRounds) {}
-
   /// The narrowed box of secrets in \p Prior that may answer \p Response
   /// to \p Query. Sound over-approximation: every secret of Prior with
   /// that response is inside the result.
@@ -44,9 +40,6 @@ public:
 
   /// Both posteriors at once (the shape of QueryInfo::approx).
   std::pair<Box, Box> posteriors(const Expr &Query, const Box &Prior) const;
-
-private:
-  unsigned MaxRounds;
 };
 
 } // namespace anosy

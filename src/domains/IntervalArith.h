@@ -12,9 +12,9 @@
 /// — so the saturating int64 primitives and the three-valued comparison
 /// live here, defined exactly once.
 ///
-/// Saturation at the int64 limits keeps abstract evaluation sound
-/// (saturation only ever widens ranges) even for adversarially large
-/// constants; see solver/RangeEval.h.
+/// Saturation at the int64 limits only ever widens a range. It agrees with
+/// concrete evaluation because the parser admits no query whose
+/// arithmetic can leave int64 over its schema; see solver/RangeEval.h.
 ///
 //===----------------------------------------------------------------------===//
 

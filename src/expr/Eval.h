@@ -7,7 +7,9 @@
 /// \file
 /// Concrete evaluation of query expressions on a single secret Point — the
 /// `query secret` call inside bounded downgrade (Fig. 2) and the ground
-/// truth every abstract result is compared against in tests.
+/// truth every abstract result is compared against in tests. Arithmetic
+/// is plain int64: the parser admits only queries whose every subterm
+/// stays within int64 at every point of the schema (expr/Parser.h).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -83,7 +83,9 @@ ExprRef anosy::fieldRef(unsigned Index) {
 
 ExprRef anosy::neg(ExprRef A) {
   assert(A && A->isIntSorted() && "neg of non-integer expression");
-  if (A->kind() == ExprKind::IntConst)
+  // Constants fold only when the result fits int64; an unfolded node is
+  // left for the parser's range check to reject (expr/Parser.h).
+  if (A->kind() == ExprKind::IntConst && A->intValue() != INT64_MIN)
     return intConst(-A->intValue());
   if (A->kind() == ExprKind::Neg)
     return A->operand(0);
@@ -92,8 +94,10 @@ ExprRef anosy::neg(ExprRef A) {
 
 ExprRef anosy::add(ExprRef A, ExprRef B) {
   assert(allIntSorted({A, B}) && "add of non-integer expressions");
-  if (A->kind() == ExprKind::IntConst && B->kind() == ExprKind::IntConst)
-    return intConst(A->intValue() + B->intValue());
+  int64_t Folded;
+  if (A->kind() == ExprKind::IntConst && B->kind() == ExprKind::IntConst &&
+      !__builtin_add_overflow(A->intValue(), B->intValue(), &Folded))
+    return intConst(Folded);
   if (A->kind() == ExprKind::IntConst && A->intValue() == 0)
     return B;
   if (B->kind() == ExprKind::IntConst && B->intValue() == 0)
@@ -104,8 +108,10 @@ ExprRef anosy::add(ExprRef A, ExprRef B) {
 
 ExprRef anosy::sub(ExprRef A, ExprRef B) {
   assert(allIntSorted({A, B}) && "sub of non-integer expressions");
-  if (A->kind() == ExprKind::IntConst && B->kind() == ExprKind::IntConst)
-    return intConst(A->intValue() - B->intValue());
+  int64_t Folded;
+  if (A->kind() == ExprKind::IntConst && B->kind() == ExprKind::IntConst &&
+      !__builtin_sub_overflow(A->intValue(), B->intValue(), &Folded))
+    return intConst(Folded);
   if (B->kind() == ExprKind::IntConst && B->intValue() == 0)
     return A;
   return ExprFactory::make(ExprKind::Sub, 0, CmpOp::EQ,
@@ -114,8 +120,10 @@ ExprRef anosy::sub(ExprRef A, ExprRef B) {
 
 ExprRef anosy::mul(ExprRef A, ExprRef B) {
   assert(allIntSorted({A, B}) && "mul of non-integer expressions");
-  if (A->kind() == ExprKind::IntConst && B->kind() == ExprKind::IntConst)
-    return intConst(A->intValue() * B->intValue());
+  int64_t Folded;
+  if (A->kind() == ExprKind::IntConst && B->kind() == ExprKind::IntConst &&
+      !__builtin_mul_overflow(A->intValue(), B->intValue(), &Folded))
+    return intConst(Folded);
   if (A->kind() == ExprKind::IntConst && A->intValue() == 1)
     return B;
   if (B->kind() == ExprKind::IntConst && B->intValue() == 1)
@@ -129,7 +137,7 @@ ExprRef anosy::mul(ExprRef A, ExprRef B) {
 
 ExprRef anosy::absOf(ExprRef A) {
   assert(A && A->isIntSorted() && "abs of non-integer expression");
-  if (A->kind() == ExprKind::IntConst)
+  if (A->kind() == ExprKind::IntConst && A->intValue() != INT64_MIN)
     return intConst(A->intValue() < 0 ? -A->intValue() : A->intValue());
   if (A->kind() == ExprKind::Abs)
     return A;

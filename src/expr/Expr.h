@@ -133,7 +133,8 @@ public:
 };
 
 // Factory functions. Integer-sorted builders assert their operands are
-// integer-sorted, boolean builders likewise; trivial constant cases fold.
+// integer-sorted, boolean builders likewise; trivial constant cases fold,
+// arithmetic on constants only when the result fits int64.
 ExprRef intConst(int64_t V);
 ExprRef fieldRef(unsigned Index);
 ExprRef neg(ExprRef A);

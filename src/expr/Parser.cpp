@@ -4,12 +4,95 @@
 
 #include "expr/Lexer.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
 
 using namespace anosy;
 
 namespace {
+
+/// True when every integer subterm of \p Root stays within int64 at every
+/// point of \p S's box. Concrete evaluation (evalInt) uses plain int64
+/// arithmetic while every abstract evaluator saturates, so a query whose
+/// arithmetic can leave int64 would get certificates its runtime answer
+/// contradicts. The walk computes interval bounds in 128-bit arithmetic,
+/// which operands inside int64 cannot overflow, so it never saturates;
+/// the condition of an `if` is walked but both arms count. It is a
+/// post-order walk on its own stacks, so a deep operator chain costs no
+/// native stack.
+bool arithmeticFitsInt64(const Expr &Root, const Schema &S) {
+  struct Range {
+    __int128 Lo, Hi;
+  };
+  std::vector<std::pair<const Expr *, bool>> Work{{&Root, false}};
+  std::vector<Range> Values; // Operand ranges, operand 0 deepest.
+  while (!Work.empty()) {
+    auto [E, OperandsDone] = Work.back();
+    Work.pop_back();
+    if (!OperandsDone) {
+      Work.push_back({E, true});
+      for (size_t I = E->numOperands(); I-- != 0;)
+        Work.push_back({E->operand(I).get(), false});
+      continue;
+    }
+    size_t Base = Values.size() - E->numOperands();
+    auto Op = [&](size_t I) -> const Range & { return Values[Base + I]; };
+    Range R{0, 0}; // Boolean-sorted nodes have no value range.
+    switch (E->kind()) {
+    case ExprKind::IntConst:
+      R = {E->intValue(), E->intValue()};
+      break;
+    case ExprKind::FieldRef:
+      R = {S.field(E->fieldIndex()).Lo, S.field(E->fieldIndex()).Hi};
+      break;
+    case ExprKind::Neg:
+      R = {-Op(0).Hi, -Op(0).Lo};
+      break;
+    case ExprKind::Add:
+      R = {Op(0).Lo + Op(1).Lo, Op(0).Hi + Op(1).Hi};
+      break;
+    case ExprKind::Sub:
+      R = {Op(0).Lo - Op(1).Hi, Op(0).Hi - Op(1).Lo};
+      break;
+    case ExprKind::Mul: {
+      __int128 P[] = {Op(0).Lo * Op(1).Lo, Op(0).Lo * Op(1).Hi,
+                      Op(0).Hi * Op(1).Lo, Op(0).Hi * Op(1).Hi};
+      R = {*std::min_element(P, P + 4), *std::max_element(P, P + 4)};
+      break;
+    }
+    case ExprKind::Abs:
+      if (Op(0).Lo >= 0)
+        R = Op(0);
+      else if (Op(0).Hi <= 0)
+        R = {-Op(0).Hi, -Op(0).Lo};
+      else
+        R = {0, std::max(-Op(0).Lo, Op(0).Hi)};
+      break;
+    case ExprKind::Min:
+      R = {std::min(Op(0).Lo, Op(1).Lo), std::min(Op(0).Hi, Op(1).Hi)};
+      break;
+    case ExprKind::Max:
+      R = {std::max(Op(0).Lo, Op(1).Lo), std::max(Op(0).Hi, Op(1).Hi)};
+      break;
+    case ExprKind::IntIte:
+      R = {std::min(Op(1).Lo, Op(2).Lo), std::max(Op(1).Hi, Op(2).Hi)};
+      break;
+    case ExprKind::BoolConst:
+    case ExprKind::Cmp:
+    case ExprKind::Not:
+    case ExprKind::And:
+    case ExprKind::Or:
+    case ExprKind::Implies:
+      break;
+    }
+    if (R.Lo < INT64_MIN || R.Hi > INT64_MAX)
+      return false;
+    Values.resize(Base);
+    Values.push_back(R);
+  }
+  return true;
+}
 
 /// A helper `def`: parameter list, declared return sort, and the token range
 /// of its body. Bodies are re-parsed at each call site with the parameters
@@ -90,6 +173,9 @@ private:
   /// Sort checks with diagnostics (the parser's type checker).
   Result<ExprRef> requireInt(Result<ExprRef> R, const char *Context);
   Result<ExprRef> requireBool(Result<ExprRef> R, const char *Context);
+  /// The int64 rule of the query fragment (arithmeticFitsInt64); \p Decl
+  /// names the declaration \p R elaborates.
+  Result<ExprRef> requireInt64(Result<ExprRef> R, const std::string &Decl);
 
   std::vector<Token> Tokens;
   size_t Pos = 0;
@@ -120,6 +206,16 @@ Result<ExprRef> Parser::requireBool(Result<ExprRef> R, const char *Context) {
     return Error(ErrorCode::UnsupportedQuery,
                  std::string("expected a boolean expression in ") + Context);
   return R;
+}
+
+Result<ExprRef> Parser::requireInt64(Result<ExprRef> R,
+                                     const std::string &Decl) {
+  if (!R || arithmeticFitsInt64(*R.value(), S))
+    return R;
+  return Error(ErrorCode::UnsupportedQuery,
+               Decl + ": arithmetic can leave the int64 range over the "
+                      "declared schema, which is outside the supported "
+                      "query fragment");
 }
 
 Result<Module> Parser::parseModule() {
@@ -157,7 +253,7 @@ Result<ExprRef> Parser::parseStandaloneQuery(const Schema &Sch) {
     return R;
   if (!check(TokenKind::Eof))
     return errorHere("trailing input after query expression");
-  return R;
+  return requireInt64(std::move(R), "query expression");
 }
 
 Result<Schema> Parser::parseStandaloneSchema() {
@@ -288,7 +384,8 @@ Result<void> Parser::parseQueryDecl() {
                    "redefinition of query '" + Name + "'");
   if (auto R = expect(TokenKind::Assign, "query"); !R)
     return R;
-  auto Body = requireBool(parseExpr(Env()), "query body");
+  auto Body = requireInt64(requireBool(parseExpr(Env()), "query body"),
+                           "query '" + Name + "'");
   if (!Body)
     return Body.error();
   Queries.push_back({std::move(Name), Body.takeValue()});
@@ -307,7 +404,8 @@ Result<void> Parser::parseClassifierDecl() {
                    "redefinition of classifier '" + Name + "'");
   if (auto R = expect(TokenKind::Assign, "classifier"); !R)
     return R;
-  auto Body = requireInt(parseExpr(Env()), "classifier body");
+  auto Body = requireInt64(requireInt(parseExpr(Env()), "classifier body"),
+                           "classifier '" + Name + "'");
   if (!Body)
     return Body.error();
   Classifiers.push_back({std::move(Name), Body.takeValue()});
@@ -597,7 +695,7 @@ Result<ExprRef> Parser::parseCall(const std::string &Name, const Env &E) {
     return Error(ErrorCode::UnsupportedQuery,
                  "body of def '" + Name +
                      "' does not match its declared return type");
-  return Body;
+  return requireInt64(std::move(Body), "def '" + Name + "'");
 }
 
 } // namespace

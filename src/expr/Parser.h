@@ -9,7 +9,11 @@
 /// elaborator inlines helper `def` calls (call-by-name substitution of the
 /// argument expressions), type-checks int vs bool sorts, resolves field
 /// references against the declared secret schema, and — following §5.1 —
-/// rejects recursive definitions and calls to unknown functions.
+/// rejects recursive definitions and calls to unknown functions. It also
+/// enforces the fragment's int64 rule: a query, classifier or inlined def
+/// whose arithmetic can take a value outside int64 at some point of the
+/// declared schema is rejected with ErrorCode::UnsupportedQuery, naming
+/// the declaration.
 ///
 /// Grammar (see expr/Lexer.h for the token set):
 /// \code

@@ -51,11 +51,9 @@ void LintScore::merge(const LintScore &O) {
   QueriesScored += O.QueriesScored;
 }
 
-LintScore scoreLint(const Module &M, int64_t MinSize, const GroundTruth &GT,
-                    RelationalTier Relational) {
+LintScore scoreLint(const Module &M, int64_t MinSize, const GroundTruth &GT) {
   LintOptions Options;
   Options.MinSize = MinSize;
-  Options.Relational = Relational;
   ModuleAnalysis Analysis = analyzeModule(M, Options);
 
   LintScore Score;

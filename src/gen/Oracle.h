@@ -103,11 +103,8 @@ struct LintScore {
 };
 
 /// Scores analyzeModule's verdicts for \p M under threshold \p MinSize
-/// against \p GT (must be \p M's ground truth). \p Relational selects
-/// the analyzer's octagon escalation tier; precision must stay 1.0 at
-/// every setting, recall improves on relational (location) families.
-LintScore scoreLint(const Module &M, int64_t MinSize, const GroundTruth &GT,
-                    RelationalTier Relational = RelationalTier::Auto);
+/// against \p GT (must be \p M's ground truth). Precision must be 1.0.
+LintScore scoreLint(const Module &M, int64_t MinSize, const GroundTruth &GT);
 
 /// The KnowledgePolicy a TracePolicy denotes, for the Box domain.
 KnowledgePolicy<Box> tracePolicyFor(const TracePolicy &P);

@@ -222,8 +222,6 @@ Result<RecoveryReport> MonitorDaemon::start() {
       }
       SessionOptions SOpt = Options.Session;
       SOpt.Cache = Cache.get();
-      if (Options.Quotas.MaxSessionNodes != 0)
-        SOpt.MaxSessionNodes = Options.Quotas.MaxSessionNodes;
       auto S = AnosySession<Box>::createFromKnowledgeBase(
           *Text, policyForMinSize(*MinSize), SOpt);
       if (!S) {
@@ -248,7 +246,8 @@ Result<RecoveryReport> MonitorDaemon::start() {
         // Repair the on-disk KB from the resynthesized artifacts right
         // away; the drain flush retries a failed repair.
         std::lock_guard<std::mutex> Lock(NewShard->ExecMu);
-        (void)flushLocked(*NewShard);
+        (void)flushLocked(*NewShard,
+                          NewShard->Session->exportKnowledgeBase());
       }
       installShard(NewShard);
       ++Recovery.TenantsRecovered;
@@ -517,9 +516,6 @@ ServiceResponse MonitorDaemon::executeRegister(const WorkItem &Item) {
                     "Registrations that skipped lint admission on a fault",
                     1);
   }
-  if (Options.Quotas.MaxSessionNodes != 0)
-    SOpt.MaxSessionNodes = Options.Quotas.MaxSessionNodes;
-
   // Deadline propagation (request → SolverBudget): whatever deadline
   // remains after queueing becomes the session deadline, which every
   // solver charge of the registration checks.
@@ -572,7 +568,7 @@ ServiceResponse MonitorDaemon::executeRegister(const WorkItem &Item) {
 
   if (!Options.DataDir.empty()) {
     std::lock_guard<std::mutex> Lock(NewShard->ExecMu);
-    if (auto W = flushLocked(*NewShard); !W) {
+    if (auto W = flushLocked(*NewShard, KbText); !W) {
       // Tolerated: the tenant serves from memory; the drain flush (or an
       // explicit Flush request) retries persistence.
       if (!Resp.Detail.empty())
@@ -652,7 +648,7 @@ ServiceResponse MonitorDaemon::executeQuery(const WorkItem &Item, Shard &S) {
 ServiceResponse MonitorDaemon::executeFlush(const WorkItem &Item, Shard &S) {
   ServiceResponse Resp;
   std::lock_guard<std::mutex> Lock(S.ExecMu);
-  if (auto W = flushLocked(S)) {
+  if (auto W = flushLocked(S, S.Session->exportKnowledgeBase())) {
     Resp.Status = ResponseStatus::Ok;
   } else {
     Resp.Status = ResponseStatus::Error;
@@ -662,12 +658,11 @@ ServiceResponse MonitorDaemon::executeFlush(const WorkItem &Item, Shard &S) {
   return Resp;
 }
 
-Result<void> MonitorDaemon::flushLocked(Shard &S) {
+Result<void> MonitorDaemon::flushLocked(Shard &S, const std::string &KbText) {
   if (S.KbPath.empty())
     return {}; // In-memory daemon: nothing to persist.
   ANOSY_OBS_SPAN(Span, "anosyd.flush");
   ANOSY_OBS_SPAN_ARG(Span, "tenant", S.Name);
-  std::string KbText = S.Session->exportKnowledgeBase();
   std::string MetaText = "min-size " + std::to_string(S.MinSize) + "\n";
   for (unsigned Attempt = 0; Attempt != FlushAttempts; ++Attempt) {
     if (Attempt != 0) {
@@ -728,7 +723,7 @@ DrainReport MonitorDaemon::drain() {
     std::lock_guard<std::mutex> Lock(S->ExecMu);
     if (S->KbPath.empty())
       continue;
-    if (flushLocked(*S))
+    if (flushLocked(*S, S->Session->exportKnowledgeBase()))
       ++Rep.TenantsFlushed;
     else
       ++Rep.FlushFailures;

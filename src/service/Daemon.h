@@ -76,9 +76,6 @@ namespace anosy::service {
 struct TenantQuotas {
   /// Queued + executing requests per tenant; excess is shed.
   unsigned MaxInFlight = 32;
-  /// Session-wide solver-node cap for the tenant's registration;
-  /// 0 keeps the base SessionOptions value.
-  uint64_t MaxSessionNodes = 0;
   /// Serialized knowledge-base size cap; a registration whose KB would
   /// exceed it is rejected (the in-memory bound and the disk bound are
   /// the same number).
@@ -238,9 +235,9 @@ private:
   ServiceResponse executeRegister(const WorkItem &Item);
   ServiceResponse executeQuery(const WorkItem &Item, Shard &S);
   ServiceResponse executeFlush(const WorkItem &Item, Shard &S);
-  /// Serializes and writes the shard's KB (+ policy sidecar) with
-  /// retry-with-backoff; caller holds S.ExecMu.
-  Result<void> flushLocked(Shard &S);
+  /// Writes \p KbText, the shard's serialized KB, and its policy sidecar
+  /// with retry-with-backoff; caller holds S.ExecMu.
+  Result<void> flushLocked(Shard &S, const std::string &KbText);
   void finishResponse(ServiceResponse &Resp, const WorkItem &Item);
 
   DaemonOptions Options;

@@ -60,9 +60,10 @@ public:
       return T->run(B, tapeScratch());
     return evalTribool(*E, B);
   }
-  // Concrete evaluation stays on the AST: evalBool uses plain wrapping
-  // int64 arithmetic while the tape saturates, and points must keep the
-  // tree walk's exact concrete semantics.
+  // Concrete evaluation stays on the AST: evalBool is the exact concrete
+  // semantics. Its plain int64 arithmetic cannot overflow, because the
+  // parser rejects a query whose arithmetic can leave int64 over the
+  // schema (expr/Parser.h).
   bool evalPoint(const Point &P) const override { return evalBool(*E, P); }
   std::string str() const override { return E->str(); }
 

@@ -13,9 +13,10 @@
 /// procedure in the solver, and it is *sound*: True/False answers are
 /// exact statements about all points of the box.
 ///
-/// Interval arithmetic saturates at the int64 limits, which keeps soundness
-/// (saturation only ever widens ranges) even for adversarially large
-/// constants.
+/// Interval arithmetic saturates at the int64 limits; saturation only ever
+/// widens a range. Concrete evaluation (expr/Eval.h) does not saturate, so
+/// the two agree because the parser admits no query whose arithmetic can
+/// leave int64 over its schema (expr/Parser.h).
 ///
 //===----------------------------------------------------------------------===//
 

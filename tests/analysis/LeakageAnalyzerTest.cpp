@@ -77,7 +77,7 @@ TEST(LeakageAnalyzer, RelationalHotspotNoted) {
   EXPECT_EQ(A.Queries[0].TruePosterior, Box({{100, 300}, {100, 300}}));
 }
 
-TEST(LeakageAnalyzer, SequencePassFlagsCorneringChain) {
+TEST(LeakageAnalyzer, SessionBudgetRiskFlagsCorneringChain) {
   // Three overlapping windows: answering True to each pins x down to a
   // single candidate — some answer path must trip a k=10 policy.
   Module M = parse("secret S { x: int[0, 100] }\n"
@@ -96,7 +96,7 @@ TEST(LeakageAnalyzer, SequencePassFlagsCorneringChain) {
   EXPECT_TRUE(SawRisk);
 }
 
-TEST(LeakageAnalyzer, SequencePassSkipsRejectedQueries) {
+TEST(LeakageAnalyzer, SessionBudgetRiskSkipsRejectedQueries) {
   // The narrow query is rejected statically, so the monitor refuses it
   // for every secret: the chain must not count its posterior.
   Module M = parse("secret S { x: int[0, 100] }\n"
@@ -199,73 +199,61 @@ TEST(LeakageAnalyzer, OctagonTierProvesRelationalConstantAnswer) {
 }
 
 TEST(LeakageAnalyzer, RelationalOffKeepsBoxBehaviour) {
-  // --relational=off is the pre-octagon analyzer: the tracker stays a
-  // hotspot note, no static rejection, box tier only.
+  // The box tier on its own, as the analyzer runs it before escalating:
+  // the tracker keeps its bounding box, 9 > k = 8 candidates, so the box
+  // tier cannot reject it. The octagon tier, which starts from these
+  // posteriors, is what rejects it (OctagonTierRejectsInteriorTracker).
+  Module M = parse("secret GeoLoc { x: int[0, 49], y: int[0, 49] }\n"
+                   "query tracker = abs(x - 25) + abs(y - 25) <= 1\n");
+  NormalizedQuery N = normalizeQuery(M.queries()[0].Body);
+  BranchPosteriors P = branchPosteriors(N, Box::top(M.schema()));
+  EXPECT_EQ(P.TruePosterior, Box({{24, 26}, {24, 26}}));
+  EXPECT_EQ(P.TruePosterior.volume(), BigCount(9));
+  EXPECT_EQ(P.FalsePosterior, Box::top(M.schema()));
+  EXPECT_TRUE(analyzeQuery(*N.True).Relational);
+
+  RelationalPosteriors RP = relationalBranchPosteriors(N, P);
+  EXPECT_EQ(RP.True.CardBound, BigCount(5));
+  EXPECT_TRUE(RP.True.BoxPosterior.subsetOf(P.TruePosterior));
+}
+
+TEST(LeakageAnalyzer, RelationalPragmaParsing) {
+  // The octagon tier is no longer selectable: a `relational=` pragma left
+  // in an old module is ignored like any unknown key, and a min-size
+  // beside it still applies.
+  LintOptions Base;
+  Base.MinSize = 7;
+  LintOptions Off = lintOptionsForSource(
+      "# anosy-lint: relational=off\nsecret S { x: int[0,1] }", Base);
+  EXPECT_EQ(Off.MinSize, 7);
+  LintOptions Both = lintOptionsForSource(
+      "# anosy-lint: min-size=9, relational=off\n", Base);
+  EXPECT_EQ(Both.MinSize, 9);
+
   Module M = parse("secret GeoLoc { x: int[0, 49], y: int[0, 49] }\n"
                    "query tracker = abs(x - 25) + abs(y - 25) <= 1\n");
   LintOptions Opt;
   Opt.MinSize = 8;
-  Opt.Relational = RelationalTier::Off;
-  ModuleAnalysis A = analyzeModule(M, Opt);
-  ASSERT_EQ(A.Queries.size(), 1u);
-  const QueryAnalysis &Q = A.Queries[0];
-  EXPECT_EQ(Q.Tier, DomainTier::Box);
-  EXPECT_EQ(Q.Verdict, LintVerdict::RelationalHotspot);
-  EXPECT_FALSE(Q.RejectStatically);
-  EXPECT_EQ(Q.TrueCardBound, BigCount(9)); // the bounding-box volume
-  EXPECT_FALSE(A.hasErrors());
+  ModuleAnalysis A = analyzeModule(
+      M, lintOptionsForSource("# anosy-lint: relational=off\n", Opt));
+  EXPECT_EQ(A.Queries[0].Tier, DomainTier::Octagon);
+  EXPECT_TRUE(A.Queries[0].RejectStatically);
 }
 
-TEST(LeakageAnalyzer, AutoAndOnAgreeOnVerdicts) {
-  // Auto only skips queries the octagon provably cannot improve, so the
-  // two escalation policies must produce identical verdicts.
-  Module M = parse("secret GeoLoc { x: int[0, 49], y: int[0, 49] }\n"
-                   "query tracker = abs(x - 25) + abs(y - 25) <= 1\n"
-                   "query axis = x <= 10\n"
-                   "query band = x + y <= 3\n");
-  LintOptions Auto;
-  Auto.MinSize = 8;
-  LintOptions On = Auto;
-  On.Relational = RelationalTier::On;
-  ModuleAnalysis A = analyzeModule(M, Auto);
-  ModuleAnalysis B = analyzeModule(M, On);
-  ASSERT_EQ(A.Queries.size(), B.Queries.size());
-  for (size_t I = 0; I != A.Queries.size(); ++I) {
-    EXPECT_EQ(A.Queries[I].Verdict, B.Queries[I].Verdict);
-    EXPECT_EQ(A.Queries[I].RejectStatically, B.Queries[I].RejectStatically);
-    EXPECT_EQ(A.Queries[I].TruePosterior, B.Queries[I].TruePosterior);
-  }
-}
-
-TEST(LeakageAnalyzer, RelationalTierNamesRoundTrip) {
-  for (RelationalTier T :
-       {RelationalTier::Off, RelationalTier::Auto, RelationalTier::On}) {
-    auto P = parseRelationalTier(relationalTierName(T));
-    ASSERT_TRUE(P.has_value());
-    EXPECT_EQ(*P, T);
-  }
-  EXPECT_FALSE(parseRelationalTier("").has_value());
-  EXPECT_FALSE(parseRelationalTier("On").has_value());
-  EXPECT_FALSE(parseRelationalTier("offx").has_value());
-  EXPECT_FALSE(parseRelationalTier("relational").has_value());
-}
-
-TEST(LeakageAnalyzer, RelationalPragmaParsing) {
+TEST(LeakageAnalyzer, PragmaIgnoresOutOfRangeMinSize) {
+  // A 20-digit value does not fit int64; it is ignored the way an
+  // unknown key is, not accumulated past the limit.
   LintOptions Base;
-  EXPECT_EQ(Base.Relational, RelationalTier::Auto);
-  LintOptions Off = lintOptionsForSource(
-      "# anosy-lint: relational=off\nsecret S { x: int[0,1] }", Base);
-  EXPECT_EQ(Off.Relational, RelationalTier::Off);
-  // Last occurrence wins; invalid values are ignored like unknown keys.
-  LintOptions Two = lintOptionsForSource("# anosy-lint: relational=off\n"
-                                         "# anosy-lint: relational=bogus\n"
-                                         "# anosy-lint: relational=on\n",
-                                         Base);
-  EXPECT_EQ(Two.Relational, RelationalTier::On);
-  LintOptions Both = lintOptionsForSource(
-      "# anosy-lint: min-size=9, relational=off\n", Base);
-  EXPECT_EQ(Both.MinSize, 9);
-  EXPECT_EQ(Both.Relational, RelationalTier::Off);
+  Base.MinSize = 7;
+  LintOptions Huge = lintOptionsForSource(
+      "# anosy-lint: min-size=99999999999999999999\n", Base);
+  EXPECT_EQ(Huge.MinSize, 7);
+  LintOptions Max = lintOptionsForSource(
+      "# anosy-lint: min-size=9223372036854775807\n", Base);
+  EXPECT_EQ(Max.MinSize, INT64_MAX);
+  LintOptions Later = lintOptionsForSource(
+      "# anosy-lint: min-size=99999999999999999999, min-size=12\n", Base);
+  EXPECT_EQ(Later.MinSize, 12);
 }
 
 TEST(LeakageAnalyzer, JsonEscaping) {

@@ -38,11 +38,18 @@ ExprRef q(const Schema &S, const std::string &Src) {
   return R.value();
 }
 
+/// The octagon tier over \p Prior, started from the box tier's
+/// posteriors as the leakage analyzer starts it.
+RelationalPosteriors relational(const ExprRef &E, const Box &Prior) {
+  NormalizedQuery N = normalizeQuery(E);
+  return relationalBranchPosteriors(N, branchPosteriors(N, Prior));
+}
+
 /// The soundness oracle: every point of \p Prior must be inside the box
 /// AND the octagon of its branch, and each branch's exact count must be
 /// at most the reported cardinality bound.
 void expectSound(const Schema &S, const ExprRef &E, const Box &Prior) {
-  RelationalPosteriors P = relationalBranchPosteriors(E, Prior);
+  RelationalPosteriors P = relational(E, Prior);
   int64_t NT = 0, NF = 0;
   forEachPoint(Prior, [&](const Point &Pt) {
     const RelationalBranch &Must = evalBool(*E, Pt) ? P.True : P.False;
@@ -64,7 +71,7 @@ TEST(OctagonRefiner, ManhattanBallIsExact) {
   // The §2 running example: the interval refiner keeps only the bounding
   // box [100,300]^2 (40401 candidates); the octagon keeps the ball itself
   // with its exact interior count 2r(r+1)+1 = 20201.
-  RelationalPosteriors P = relationalBranchPosteriors(
+  RelationalPosteriors P = relational(
       q(S, "abs(x - 200) + abs(y - 200) <= 100"), Box::top(S));
   EXPECT_EQ(P.True.BoxPosterior, Box({{100, 300}, {100, 300}}));
   EXPECT_EQ(P.True.CardBound, BigCount(20201));
@@ -80,7 +87,7 @@ TEST(OctagonRefiner, ClippedBallCountMatchesEnumeration) {
   // Off-center ball clipped by the domain boundary: ball ∩ box is still
   // an octagon, so the pair sweep counts it exactly.
   ExprRef E = q(S, "abs(x - 50) + abs(y - 50) <= 100");
-  RelationalPosteriors P = relationalBranchPosteriors(E, Box::top(S));
+  RelationalPosteriors P = relational(E, Box::top(S));
   int64_t Exact = countByEnumeration(*E, Box::top(S));
   ASSERT_TRUE(P.True.CardBound.fitsInt64());
   EXPECT_EQ(P.True.CardBound.toInt64(), Exact);
@@ -91,9 +98,9 @@ TEST(OctagonRefiner, ReducedProductTightensBoxBeyondHC4) {
   // x − y ≤ −3 and x + y ≤ 5 imply 2x ≤ 2, i.e. x ≤ 1 — a relational
   // consequence invisible to interval narrowing (which stops at x ≤ 2).
   ExprRef E = q(S, "x - y <= -3 && x + y <= 5");
-  BranchPosteriors BoxOnly = branchPosteriors(E, Box::top(S));
+  BranchPosteriors BoxOnly = branchPosteriors(normalizeQuery(E), Box::top(S));
   EXPECT_EQ(BoxOnly.TruePosterior.dim(0).Hi, 2);
-  RelationalPosteriors P = relationalBranchPosteriors(E, Box::top(S));
+  RelationalPosteriors P = relational(E, Box::top(S));
   EXPECT_EQ(P.True.BoxPosterior.dim(0).Hi, 1);
   EXPECT_TRUE(P.True.BoxPosterior.subsetOf(BoxOnly.TruePosterior));
   expectSound(S, E, Box::top(S));
@@ -103,7 +110,7 @@ TEST(OctagonRefiner, DetectsRelationalEmptiness) {
   Schema S = Schema("S", {{"x", 0, 10}, {"y", 0, 10}});
   // Each atom is box-satisfiable; their conjunction is not (x < y < x).
   ExprRef E = q(S, "x < y && y < x");
-  RelationalPosteriors P = relationalBranchPosteriors(E, Box::top(S));
+  RelationalPosteriors P = relational(E, Box::top(S));
   EXPECT_TRUE(P.True.OctPosterior.isEmpty());
   EXPECT_TRUE(P.True.BoxPosterior.isEmpty());
   EXPECT_TRUE(P.True.CardBound.isZero());
@@ -114,7 +121,7 @@ TEST(OctagonRefiner, SmallBallExhaustivelySound) {
   Schema S = Schema("GeoLoc", {{"x", 0, 49}, {"y", 0, 49}});
   // The corpus tracker query: radius-1 interior ball, exactly 5 points.
   ExprRef E = q(S, "abs(x - 25) + abs(y - 25) <= 1");
-  RelationalPosteriors P = relationalBranchPosteriors(E, Box::top(S));
+  RelationalPosteriors P = relational(E, Box::top(S));
   EXPECT_EQ(P.True.CardBound, BigCount(5));
   expectSound(S, E, Box::top(S));
 }
@@ -196,8 +203,8 @@ TEST(OctagonRefiner, ProductBoxNeverWiderThanIntervalRefiner) {
   };
   for (const char *Src : Queries) {
     ExprRef E = q(S, Src);
-    BranchPosteriors B = branchPosteriors(E, Box::top(S));
-    RelationalPosteriors P = relationalBranchPosteriors(E, Box::top(S));
+    BranchPosteriors B = branchPosteriors(normalizeQuery(E), Box::top(S));
+    RelationalPosteriors P = relational(E, Box::top(S));
     EXPECT_TRUE(P.True.BoxPosterior.subsetOf(B.TruePosterior)) << Src;
     EXPECT_TRUE(P.False.BoxPosterior.subsetOf(B.FalsePosterior)) << Src;
     EXPECT_TRUE(P.True.CardBound <= B.TruePosterior.volume()) << Src;

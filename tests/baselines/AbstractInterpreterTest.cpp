@@ -81,6 +81,17 @@ TEST(AbstractInterpreter, DisjunctionHullsAreImprecise) {
   EXPECT_EQ(Post, Box::top(S)); // hull of the two corners
 }
 
+TEST(AbstractInterpreter, DisequalityAtInt64LimitStaysInRange) {
+  // x ∈ [MAX, MAX] after the first conjunct; shaving MAX off for `!=`
+  // must not compute MAX + 1. The True branch is empty.
+  Schema S("S", {{"x", 0, INT64_MAX}});
+  ExprRef E =
+      q(S, "x >= 9223372036854775807 && x != 9223372036854775807");
+  AbstractInterpreter AI;
+  EXPECT_TRUE(AI.posterior(*E, Box::top(S), true).isEmpty());
+  EXPECT_EQ(AI.posterior(*E, Box::top(S), false), Box::top(S));
+}
+
 TEST(AbstractInterpreter, NearbyPosteriorIsSoundButLoose) {
   Schema S = userLoc();
   ExprRef Q = q(S, "abs(x - 200) + abs(y - 200) <= 100");

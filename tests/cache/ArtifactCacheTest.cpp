@@ -155,6 +155,24 @@ TEST(ArtifactCache, CorruptEntryIsPoisonedMiss) {
   EXPECT_TRUE(Cache.lookup<Box>(K).has_value());
 }
 
+TEST(ArtifactCache, EntryOutsideInt64RuleIsMiss) {
+  // An entry for a query whose arithmetic leaves int64 (x * 2^62 over
+  // x in [-3, 3]) fails the body re-parse on lookup: a poisoned miss,
+  // never its artifacts.
+  ArtifactCache Cache(freshRoot("int64"));
+  Schema S("S", {{"x", -3, 3}});
+  CanonicalQuery K = canonicalizeQuery(
+      S,
+      cmp(CmpOp::GE, mul(fieldRef(0), intConst(4611686018427387904)),
+          intConst(0)),
+      "interval", 0);
+  IndSets<Box> Ind{Box({{0, 3}}), Box({{-3, -1}})};
+  ASSERT_TRUE(Cache.store<Box>(K, Ind).ok());
+  EXPECT_FALSE(Cache.lookup<Box>(K).has_value());
+  EXPECT_EQ(Cache.counters().Misses, 1u);
+  EXPECT_EQ(Cache.counters().Poisoned, 1u);
+}
+
 TEST(ArtifactCache, WrongDomainEntryNeverServes) {
   // A powerset artifact and an interval artifact of the same body live at
   // different addresses; neither lookup can be served the other's bytes.

@@ -203,6 +203,29 @@ TEST(CrashSafeIO, GarbledQueryLineIsLostByName) {
   EXPECT_EQ(Rec->Lost[0], "nearby300");
 }
 
+TEST(CrashSafeIO, RecordOutsideInt64RuleIsLost) {
+  // A record can be intact byte for byte yet hold a query outside the
+  // fragment: x * 2^62 leaves int64 over x in [-3, 3]. Salvage re-parses
+  // every body, so the record is lost and its artifacts are never served.
+  Schema S("S", {{"x", -3, 3}});
+  QueryInfo<Box> Info;
+  Info.Name = "q";
+  Info.QueryExpr = cmp(CmpOp::GE,
+                       mul(fieldRef(0), intConst(4611686018427387904)),
+                       intConst(0));
+  Info.Ind.TrueSet = Box({{0, 3}});
+  Info.Ind.FalseSet = Box({{-3, -1}});
+  std::string Text =
+      serializeKnowledgeBaseV2(S, std::vector<QueryInfo<Box>>{Info});
+  auto Rec = recoverKnowledgeBase<Box>(Text);
+  ASSERT_TRUE(Rec.ok()) << Rec.error().str();
+  EXPECT_TRUE(Rec->Intact.empty());
+  EXPECT_TRUE(Rec->Damaged.empty());
+  ASSERT_EQ(Rec->Lost.size(), 1u);
+  EXPECT_EQ(Rec->Lost[0], "q");
+  EXPECT_FALSE(parseKnowledgeBase<Box>(Text).ok());
+}
+
 TEST(CrashSafeIO, SalvagedIntactRecordsStillVerify) {
   auto Rec = recoverKnowledgeBase<Box>(flipDigitInRecord2(v2Text()));
   ASSERT_TRUE(Rec.ok());

@@ -31,6 +31,18 @@ TEST(Expr, ConstantFolding) {
   EXPECT_EQ(neg(intConst(4))->intValue(), -4);
 }
 
+TEST(Expr, ConstantFoldingStopsAtInt64Limits) {
+  // An overflowing fold is left as a node (the parser's int64 rule then
+  // rejects it); folding it would be signed overflow.
+  EXPECT_EQ(add(intConst(INT64_MAX), intConst(1))->kind(), ExprKind::Add);
+  EXPECT_EQ(sub(intConst(INT64_MIN), intConst(1))->kind(), ExprKind::Sub);
+  EXPECT_EQ(mul(intConst(INT64_MAX), intConst(2))->kind(), ExprKind::Mul);
+  EXPECT_EQ(neg(intConst(INT64_MIN))->kind(), ExprKind::Neg);
+  EXPECT_EQ(absOf(intConst(INT64_MIN))->kind(), ExprKind::Abs);
+  EXPECT_EQ(add(intConst(INT64_MAX - 1), intConst(1))->intValue(), INT64_MAX);
+  EXPECT_EQ(neg(intConst(INT64_MAX))->intValue(), -INT64_MAX);
+}
+
 TEST(Expr, IdentitySimplifications) {
   ExprRef X = fieldRef(0);
   EXPECT_EQ(add(X, intConst(0)).get(), X.get());

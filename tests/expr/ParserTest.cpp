@@ -221,3 +221,54 @@ TEST(ParserModule, BoolParametersWork) {
   EXPECT_FALSE(evalBool(*M->queries()[0].Body, {60}));
   EXPECT_FALSE(evalBool(*M->queries()[0].Body, {5}));
 }
+
+// === The int64 rule =====================================================
+
+TEST(ParserModule, RejectsArithmeticLeavingInt64) {
+  // x * 2^62 leaves int64 at x = ±2 and ±3. Every abstract evaluator
+  // saturates there while evalInt would overflow, so the certificates and
+  // the runtime answer would disagree: the module is outside the fragment.
+  const char *Src = R"(secret S { x: int[-3, 3] }
+query q = x * 4611686018427387904 >= 0
+)";
+  auto M = parseModule(Src);
+  ASSERT_FALSE(M.ok());
+  EXPECT_EQ(M.error().code(), ErrorCode::UnsupportedQuery);
+  EXPECT_NE(M.error().message().find("query 'q'"), std::string::npos)
+      << M.error().message();
+  EXPECT_NE(M.error().message().find("int64"), std::string::npos);
+
+  // A classifier and an inlined def are named the same way.
+  auto C = parseModule("secret S { x: int[-3, 3] }\n"
+                       "classify c = x * 4611686018427387904\n");
+  ASSERT_FALSE(C.ok());
+  EXPECT_EQ(C.error().code(), ErrorCode::UnsupportedQuery);
+  EXPECT_NE(C.error().message().find("classifier 'c'"), std::string::npos);
+  auto D = parseModule("secret S { x: int[-3, 3] }\n"
+                       "def big(v: int): int = v * 4611686018427387904\n"
+                       "query q = big(x) >= 0\n");
+  ASSERT_FALSE(D.ok());
+  EXPECT_EQ(D.error().code(), ErrorCode::UnsupportedQuery);
+  EXPECT_NE(D.error().message().find("def 'big'"), std::string::npos);
+
+  // The bound is exact: 3 * 3074457345618258602 is INT64_MAX - 1.
+  auto Fits = parseModule("secret S { x: int[-3, 3] }\n"
+                          "query q = x * 3074457345618258602 >= 0\n");
+  ASSERT_TRUE(Fits.ok()) << Fits.error().str();
+  EXPECT_FALSE(evalBool(*Fits->queries()[0].Body, {-3}));
+  EXPECT_TRUE(evalBool(*Fits->queries()[0].Body, {3}));
+}
+
+TEST(Parser, RejectsConstantArithmeticLeavingInt64) {
+  // The folding builders leave INT64_MAX + 1 unfolded, and the range
+  // rule rejects it; neither step overflows.
+  auto R = parseQueryExpr(userLoc(), "9223372036854775807 + 1 <= x");
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.error().code(), ErrorCode::UnsupportedQuery);
+  EXPECT_FALSE(parseQueryExpr(userLoc(), "-(0 - 9223372036854775807 - 1) <= x")
+                   .ok());
+  EXPECT_FALSE(parseQueryExpr(userLoc(), "x + 9223372036854775807 <= -2").ok());
+  auto Edge = parseQueryExpr(userLoc(), "0 - 9223372036854775807 - 1 <= x");
+  ASSERT_TRUE(Edge.ok()) << Edge.error().str();
+  EXPECT_TRUE(evalBool(*Edge.value(), {0, 0}));
+}

@@ -50,21 +50,25 @@ expect_usage_error("invalid value for --min-size" lint --min-size abc)
 expect_usage_error("invalid value for --min-size"
                    lint --min-size 99999999999999999999)
 
-# Retired flags: the solver thread count, the evaluator mode and the
-# analysis-seeded search. Their names are assembled from pieces so that a
-# search for the retired spellings finds only the changelog.
+# Retired flags: the solver thread count, the evaluator mode, the
+# analysis-seeded search and the lint tier selector. Their names are
+# assembled from pieces so that a search for the retired spellings finds
+# only the changelog.
 string(CONCAT threads_flag "--" "threads")
 string(CONCAT eval_mode_flag "--" "compiled" "-eval")
 string(CONCAT seeds_flag "--" "analysis" "-seeds")
+string(CONCAT tier_flag "--" "relational")
 expect_usage_error("unknown" ${threads_flag} 2)
 expect_usage_error("unknown" lint ${threads_flag} 2)
 expect_usage_error("unknown" ${eval_mode_flag} on)
 expect_usage_error("unknown" ${seeds_flag})
+expect_usage_error("unknown lint flag" lint ${tier_flag} off)
+expect_usage_error("unknown lint flag" lint ${tier_flag}=off)
 
-# anosyd: the relational lint tier is no longer a daemon flag (`anosy_cli
-# lint --relational` keeps it), and rates must parse in full — atof read
-# `--sps abc` as 0 (an unpaced soak) and `--burst x` as burst mode off.
-expect_tool_usage_error(${ANOSYD} "usage" --relational off)
+# anosyd: the lint tier selector is no flag of the daemon either, and
+# rates must parse in full — atof read `--sps abc` as 0 (an unpaced soak)
+# and `--burst x` as burst mode off.
+expect_tool_usage_error(${ANOSYD} "usage" ${tier_flag} off)
 expect_tool_usage_error(${ANOSYD} "invalid value for --sps" --sps abc)
 expect_tool_usage_error(${ANOSYD} "invalid value for --burst" --burst x)
 

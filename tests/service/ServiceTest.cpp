@@ -214,6 +214,17 @@ TEST(MonitorDaemon, FrontDoorRejections) {
   EXPECT_EQ(Bad.Status, ResponseStatus::Error);
   EXPECT_NE(Bad.Detail.find("front door"), std::string::npos);
 
+  // So are modules whose arithmetic can leave int64 (the parser's int64
+  // rule): registered, this one's certificates would contradict its own
+  // runtime answers.
+  ServiceResponse Wide = D.call(registerRequest(
+      "wide", "secret S { x: int[-3, 3] }\n"
+              "query q = x * 4611686018427387904 >= 0\n",
+      1));
+  EXPECT_EQ(Wide.Status, ResponseStatus::Error);
+  EXPECT_NE(Wide.Detail.find("query 'q'"), std::string::npos) << Wide.Detail;
+  EXPECT_NE(Wide.Detail.find("int64"), std::string::npos) << Wide.Detail;
+
   // Duplicate tenants are refused.
   ASSERT_EQ(D.call(registerRequest("acme")).Status, ResponseStatus::Ok);
   ServiceResponse Dup = D.call(registerRequest("acme"));
@@ -400,7 +411,7 @@ TEST(MonitorDaemon, BudgetExhaustionCarriesBudgetCode) {
   // A 1-node session budget exhausts synthesis instantly; without a
   // wall-clock deadline the ⊥ must be coded "budget", not "deadline".
   DaemonOptions Opt = pumpOptions();
-  Opt.Quotas.MaxSessionNodes = 1;
+  Opt.Session.MaxSessionNodes = 1;
   MonitorDaemon D(Opt);
   ASSERT_TRUE(D.start().ok());
   ServiceResponse Reg = D.call(registerRequest("acme"));
